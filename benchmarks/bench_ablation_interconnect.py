@@ -1,8 +1,9 @@
 """Ablation: sparse-interconnect geometry (lookahead depth and lookaside breadth).
 
-DESIGN.md calls out the interconnect geometry as the central design choice:
-the paper settles on 2 lookahead steps plus 5 lookaside options (8 total)
-after noting a lookahead of 3 "is more than sufficient".  This ablation
+The interconnect geometry (``repro.core.interconnect``) is the central
+design choice: the paper settles on 2 lookahead steps plus 5 lookaside
+options (8 total) after noting a lookahead of 3 "is more than
+sufficient".  This ablation
 sweeps the template from dense-only up to a wider-than-paper variant to
 show the diminishing returns that justify the 8-option design point.
 """

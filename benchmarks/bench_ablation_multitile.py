@@ -39,7 +39,7 @@ def compute_multitile():
                 kernel=layer.kernel, stride=layer.stride, padding=layer.padding,
             )["AxW"]
             groups = streams.groups
-            aggregate = accelerator.run_operation("AxW", groups)
+            aggregate = accelerator.run_operation_batched("AxW", groups)
             aggregate_base += aggregate.baseline_cycles
             aggregate_td += aggregate.tensordash_cycles
             multi = partitioner.run_operation("AxW", groups)

@@ -18,8 +18,8 @@ PointResults are not bit-identical to the serial ones.  Results are
 printed as a table and emitted to ``BENCH_dse.json`` at the repository
 root, extending the perf trajectory started by ``BENCH_engine.json``.
 The parallel-beats-serial floor is only *enforced* on runners with at
-least :data:`STUDY_GATE_MIN_CPUS` CPUs (mirroring the engine parallel
-gate); the measured ratio is recorded either way.
+least :data:`STUDY_GATE_MIN_CPUS` CPUs; the measured ratio is recorded
+either way.
 
 Run directly::
 

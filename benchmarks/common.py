@@ -7,16 +7,16 @@ the accelerator simulation with whatever configuration the figure sweeps.
 
 The harness prints the same rows/series the paper's figures plot.  Absolute
 numbers differ from the paper (the workloads are scaled-down stand-ins and
-the substrate is an analytical simulator — see DESIGN.md), but the shape of
-each result (who wins, by roughly what factor, where the trends bend) is
-what the benchmarks reproduce and what EXPERIMENTS.md records.
+the substrate is an analytical simulator — see docs/architecture.md), but
+the shape of each result (who wins, by roughly what factor, where the
+trends bend) is what the benchmarks reproduce and what their assertions
+check.
 
 Simulation runs through the pluggable engine (:mod:`repro.engine`); three
 environment variables steer it without touching any benchmark:
 
-* ``REPRO_BACKEND`` — ``reference`` / ``vectorized`` / ``parallel``
-  (default ``vectorized``; all backends are bit-identical);
-* ``REPRO_JOBS`` — worker count for the parallel backend;
+* ``REPRO_BACKEND`` — ``reference`` / ``vectorized``
+  (default ``vectorized``; both backends are bit-identical);
 * ``REPRO_CACHE_DIR`` — enable the on-disk result cache so repeated
   harness runs skip already-simulated layers;
 * ``REPRO_STUDY_JOBS`` — worker processes for study-level parallelism
@@ -26,10 +26,10 @@ environment variables steer it without touching any benchmark:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-import numpy as np
-
+# geometric_mean is re-exported for the figure benchmarks.
+from repro.analysis import geometric_mean  # noqa: F401
 from repro.core.config import AcceleratorConfig
 from repro.models.registry import PAPER_MODELS, trace_workload
 from repro.simulation.runner import ExperimentRunner, ModelResult
@@ -53,29 +53,21 @@ def engine_kwargs() -> Dict[str, object]:
     from repro.engine.options import resolve_engine_options
 
     options = resolve_engine_options()
-    return {
-        "backend": options.backend,
-        "jobs": options.jobs,
-        "cache_dir": options.cache_dir,
-    }
+    return {"backend": options.backend, "cache_dir": options.cache_dir}
 
 
 def study_kwargs() -> Dict[str, object]:
     """Study-runner configuration: engine knobs plus ``study_jobs``.
 
     Same single-resolution rule as :func:`engine_kwargs` — the
-    ``REPRO_STUDY_JOBS`` / ``REPRO_SHARED_CACHE_DIR`` environment
-    variables steer study-level parallelism identically for the CLI, the
-    API session and the benchmark harness.
+    ``REPRO_STUDY_JOBS`` environment variable steers study-level
+    parallelism identically for the CLI, the API session and the
+    benchmark harness.
     """
     from repro.engine.options import resolve_engine_options
 
     options = resolve_engine_options()
-    return {
-        **engine_kwargs(),
-        "study_jobs": options.study_jobs,
-        "shared_dir": options.shared_dir,
-    }
+    return {**engine_kwargs(), "study_jobs": options.study_jobs}
 
 #: The models the headline per-model figures sweep (paper order).
 BENCH_MODELS: List[str] = list(PAPER_MODELS)
@@ -129,14 +121,6 @@ def config_for(key: str) -> AcceleratorConfig:
 def runner_for(key: str = "default", max_groups: int = DEFAULT_MAX_GROUPS) -> ExperimentRunner:
     """An experiment runner bound to a named configuration."""
     return ExperimentRunner(config_for(key), max_groups=max_groups, **engine_kwargs())
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean used for the figures' average rows."""
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        return 0.0
-    return float(np.exp(np.mean(np.log(array))))
 
 
 def print_header(title: str, paper_reference: str) -> None:

@@ -84,13 +84,12 @@ class Session:
 
     Parameters
     ----------
-    backend / jobs / cache_dir / shared_dir / telemetry_dir:
+    backend / cache_dir / telemetry_dir:
         Engine knobs; ``None`` falls back to the ``REPRO_BACKEND`` /
-        ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_SHARED_CACHE_DIR``
-        / ``REPRO_TELEMETRY_DIR`` environment variables, then the
-        defaults.  ``shared_dir`` points a fleet of serve workers at one
-        cross-process memo tier so they stop re-simulating what a
-        sibling already finished; ``telemetry_dir`` enables the
+        ``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` environment
+        variables, then the defaults.  Point a fleet of serve workers at
+        one ``cache_dir`` and they stop re-simulating what a sibling
+        already finished; ``telemetry_dir`` enables the
         process-wide span tracer (:mod:`repro.telemetry`) and every
         ``submit`` then records a ``session.submit`` span tree plus a
         metrics snapshot to the JSONL event log there.
@@ -117,9 +116,7 @@ class Session:
     def __init__(
         self,
         backend: Optional[str] = None,
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        shared_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         study_jobs: Optional[int] = None,
         seed: int = 0,
@@ -127,9 +124,9 @@ class Session:
         max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
-            backend=backend, jobs=jobs, cache_dir=cache_dir,
-            shared_dir=shared_dir, telemetry_dir=telemetry_dir,
-            study_jobs=study_jobs, environ=environ,
+            backend=backend, cache_dir=cache_dir,
+            telemetry_dir=telemetry_dir, study_jobs=study_jobs,
+            environ=environ,
         )
         if self.options.telemetry_dir:
             # Enable (or reuse) the process-wide tracer; sessions built
@@ -138,9 +135,7 @@ class Session:
         self.seed = 0 if seed is None else int(seed)
         self.engine = SimulationEngine(
             backend=self.options.backend,
-            jobs=self.options.jobs,
             cache_dir=self.options.cache_dir,
-            shared_dir=self.options.shared_dir,
             memory_cache=True,
         )
         self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
@@ -463,8 +458,7 @@ class Session:
 
         ``study_jobs`` (a per-request override, else the session's
         resolved option) fans point groups across worker processes;
-        workers inherit the session's shared-tier directory so they
-        collapse duplicate work with the warm parent engine.
+        workers join the study's disk cache.
         """
         from repro.explore.runner import StudyRunner
 
@@ -481,11 +475,9 @@ class Session:
             spec,
             study_dir=study_dir,
             backend=self.options.backend,
-            jobs=self.options.jobs,
             cache_dir=self.options.cache_dir,
             engine=self.engine,
             study_jobs=study_jobs,
-            shared_dir=self.options.shared_dir,
             trace_fn=trace_fn,
         )
 

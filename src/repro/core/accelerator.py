@@ -14,19 +14,17 @@ offers a cycle-only path built on the vectorised
 identical to the functional model (verified by tests) because the
 scheduler decisions only depend on the operand zero patterns.
 
-Both execution strategies are exposed explicitly —
-:meth:`Accelerator.run_operation_serial` (one group at a time, the path
-the ``reference`` engine backend checks against) and
-:meth:`Accelerator.run_operation_batched` (all groups at once, the
-``vectorized`` backend's kernel) — and :mod:`repro.engine` chooses between
-them; :meth:`Accelerator.run_operation` dispatches on the input shape for
-backwards compatibility.
+:meth:`Accelerator.tile_cycles_batch` schedules many lockstep groups at
+once and :meth:`Accelerator.run_operations_batched` fuses whole
+operations into ragged bit-packed batches — the ``vectorized`` engine
+backend's kernel.  The readable oracle it is checked against is
+:class:`repro.engine.backend.ReferenceBackend`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,56 +142,6 @@ class Accelerator:
             self.refill_limit = None
 
     # ------------------------------------------------------------------
-    def baseline_cycles_for_rows(self, dense_rows: int) -> int:
-        """Cycles the dense baseline needs for ``dense_rows`` schedule rows."""
-        return int(dense_rows)
-
-    def tile_cycles(self, row_effectual: np.ndarray) -> int:
-        """Cycles one tile needs to process a group of row streams in lockstep.
-
-        Parameters
-        ----------
-        row_effectual:
-            Boolean array of shape ``(tile_rows, stream_rows, lanes)``:
-            the effectual (non-zero B) positions of the dense schedule for
-            each PE row of the tile.  All rows advance together at the
-            minimum per-row AS (shared A-side staging buffers).
-        """
-        if self.config.power_gated:
-            return int(row_effectual.shape[1])
-        num_rows, stream_rows, lanes = row_effectual.shape
-        depth = self.config.pe.staging_depth
-        if stream_rows == 0:
-            return 0
-        padded = np.zeros((num_rows, stream_rows + depth, lanes), dtype=bool)
-        padded[:, :stream_rows] = row_effectual
-        position = 0
-        cycles = 0
-        row_index = np.arange(depth)
-        while position < stream_rows:
-            windows = padded[:, position + row_index, :]
-            claimed, advance, _ = self.batch_scheduler.schedule(
-                windows, advance_limit=self.refill_limit
-            )
-            padded[:, position + row_index, :] &= ~claimed
-            step = int(advance.min())
-            step = min(step, stream_rows - position)
-            position += step
-            cycles += 1
-        return cycles
-
-    def independent_streams_cycles(self, effectual: np.ndarray) -> np.ndarray:
-        """Cycles for independent streams with no inter-row synchronisation.
-
-        Used for single-row tiles and for per-PE (two-side) studies.
-        """
-        if self.config.power_gated:
-            batch, stream_rows, _ = effectual.shape
-            return np.full(batch, stream_rows, dtype=np.int64)
-        return self.batch_scheduler.stream_cycles_batch(
-            effectual, advance_limit=self.refill_limit
-        )
-
     def tile_cycles_batch(
         self, groups: np.ndarray, rows_per_group: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -378,33 +326,6 @@ class Accelerator:
         return cycles
 
     # ------------------------------------------------------------------
-    def run_operation(
-        self,
-        name: str,
-        row_groups: Sequence[np.ndarray],
-    ) -> OperationResult:
-        """Run one operation expressed as per-tile row groups.
-
-        Parameters
-        ----------
-        name:
-            Operation label (``"AxW"``, ``"AxG"`` or ``"WxG"``).
-        row_groups:
-            A sequence of boolean arrays, each of shape
-            ``(tile_rows, stream_rows, lanes)``.  Each array is the work
-            one tile-row-group performs in lockstep; groups are processed
-            back to back (or on parallel tiles — the relative speedup is
-            unaffected because the baseline is scaled identically).
-
-        A 4D ndarray input takes the batched fast path
-        (:meth:`run_operation_batched`); any other sequence takes the
-        serial path (:meth:`run_operation_serial`).  Both produce
-        bit-identical results.
-        """
-        if isinstance(row_groups, np.ndarray) and row_groups.ndim == 4:
-            return self.run_operation_batched(name, row_groups)
-        return self.run_operation_serial(name, row_groups)
-
     def run_operation_batched(self, name: str, groups: np.ndarray) -> OperationResult:
         """Batched execution: schedule every group's windows at once.
 
@@ -542,35 +463,6 @@ class Accelerator:
                 macs_effectual=int(groups.sum()),
             )
             offset += num_groups
-
-    def run_operation_serial(
-        self, name: str, row_groups: Sequence[np.ndarray]
-    ) -> OperationResult:
-        """Serial execution: one group at a time through :meth:`tile_cycles`."""
-        baseline_cycles = 0
-        tensordash_cycles = 0
-        macs_total = 0
-        macs_effectual = 0
-        lanes = self.config.pe.lanes
-
-        for group in row_groups:
-            group = np.asarray(group, dtype=bool)
-            if group.ndim != 3:
-                raise ValueError(
-                    f"row group must be 3D (tile_rows, stream_rows, lanes), got {group.shape}"
-                )
-            stream_rows = group.shape[1]
-            baseline_cycles += self.baseline_cycles_for_rows(stream_rows)
-            tensordash_cycles += self.tile_cycles(group)
-            macs_total += group.shape[0] * stream_rows * lanes
-            macs_effectual += int(group.sum())
-        return OperationResult(
-            name=name,
-            baseline_cycles=baseline_cycles,
-            tensordash_cycles=tensordash_cycles,
-            macs_total=macs_total,
-            macs_effectual=macs_effectual,
-        )
 
     def describe(self) -> str:
         """Summary string for reports."""

@@ -18,14 +18,9 @@ so all of them are bit-identical by construction (and by test):
     an operation is scheduled at once, amortising the Python interpreter
     over the batch dimension.
 
-``parallel``
-    Shards traced layers across a ``multiprocessing`` pool (each worker
-    runs the vectorized kernel) and merges results deterministically; see
-    :mod:`repro.engine.parallel`.
-
-New execution strategies (distributed, GPU, ...) plug in by subclassing
-:class:`SimulationBackend` and calling :func:`register_backend`; nothing
-above this layer needs to change.
+The registry is this fixed pair.  Multi-process execution lives one level
+up, in :class:`repro.explore.StudyExecutor`, which fans whole study points
+across workers that each run one of these backends.
 
 Memory awareness: backends produce *compute* cycles.  The per-window
 staging-refill clamp a finite :class:`~repro.memory.hierarchy.MemoryHierarchy`
@@ -39,7 +34,7 @@ choice therefore can never affect memory-aware results either.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +57,7 @@ class SimulationBackend:
 
     Subclasses must implement :meth:`run_operation`; layer-level
     orchestration (:meth:`simulate_layers`) defaults to a serial loop and
-    is overridden by backends that shard whole layers (``parallel``).
+    is overridden by backends that batch across layers (``vectorized``).
     """
 
     #: Registry name; subclasses override.
@@ -218,49 +213,29 @@ class VectorizedBackend(SimulationBackend):
         ]
 
 
-#: Backend registry; ``parallel`` self-registers on import (see get_backend).
-_BACKENDS: Dict[str, Callable[..., SimulationBackend]] = {
+#: The backends, by name: the oracle and the fast kernel.
+_BACKENDS: Dict[str, type] = {
     ReferenceBackend.name: ReferenceBackend,
     VectorizedBackend.name: VectorizedBackend,
 }
 
 
-def register_backend(name: str, factory: Callable[..., SimulationBackend]) -> None:
-    """Register a backend factory under ``name`` (overwrites silently)."""
-    _BACKENDS[name] = factory
-
-
 def available_backends() -> List[str]:
-    """Names of every registered backend (the CLI ``--backend`` choices)."""
-    # The parallel backend registers itself on import; make sure it is
-    # visible even if nothing imported repro.engine.parallel yet.
-    import repro.engine.parallel  # noqa: F401
-
+    """Names of every backend (the CLI ``--backend`` choices)."""
     return sorted(_BACKENDS)
 
 
 def get_backend(
     backend: Union[str, SimulationBackend, None],
-    jobs: Optional[int] = None,
 ) -> SimulationBackend:
-    """Resolve a backend name (or pass through an instance).
-
-    ``jobs`` is forwarded to backends that accept a worker count (the
-    parallel backend); other backends ignore it.
-    """
+    """Resolve a backend name (or pass through an instance)."""
     if backend is None:
         backend = "vectorized"
     if isinstance(backend, SimulationBackend):
         return backend
-    if backend == "parallel":
-        # Imported lazily so repro.engine.backend stays dependency-light.
-        import repro.engine.parallel  # noqa: F401
     factory = _BACKENDS.get(backend)
     if factory is None:
         raise KeyError(
             f"unknown simulation backend {backend!r}; known: {available_backends()}"
         )
-    try:
-        return factory(jobs=jobs)
-    except TypeError:
-        return factory()
+    return factory()

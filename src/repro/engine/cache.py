@@ -2,7 +2,7 @@
 
 Sweeps and repeated benchmark runs re-simulate the same (configuration,
 layer trace) pairs over and over; this cache makes the second and later
-runs free.  Entries are keyed by a SHA-256 over three fingerprints:
+runs free.  Entries are keyed by a SHA-256 over two fingerprints:
 
 * the **configuration fingerprint** — every field of the
   :class:`~repro.core.config.AcceleratorConfig` (including the
@@ -10,8 +10,11 @@ runs free.  Entries are keyed by a SHA-256 over three fingerprints:
   under different hierarchies can never collide) plus the stream-sampling
   parameters (``max_groups``, ``max_batch``) that shape the simulated work;
 * the **trace fingerprint** — the layer's hyper-parameters and the raw
-  bytes of its boolean operand masks;
-* the **backend name** under which the result was produced.
+  bytes of its boolean operand masks.
+
+The backend is deliberately not part of the key: backends are
+bit-identical (property-tested), so a result simulated by one serves
+every other.
 
 Invalidation is purely structural: change any input and the key changes,
 so a stale entry can never be returned — it is simply never looked up
@@ -21,9 +24,12 @@ subset of it) at any time to reclaim space.  A bump of
 format changes are rolled out.
 
 Values are stored as small JSON documents (one file per layer, sharded by
-key prefix to keep directories shallow), so caches are portable,
-inspectable with standard tools, and safe to share between backends that
-are bit-identical.  Corrupt or truncated files are treated as misses.
+key prefix to keep directories shallow), so caches are portable and
+inspectable with standard tools.  Corrupt or truncated files are treated
+as misses.  Every store is an atomic ``os.replace`` of a content-addressed,
+idempotent value, so any number of processes may share one cache
+directory: concurrent writers of a key write the same bytes, and a reader
+sees either no file or a whole one.
 """
 
 from __future__ import annotations
@@ -32,16 +38,10 @@ import hashlib
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-
-try:  # POSIX file locking for the shared tier; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 #: Bump to invalidate every existing cache entry after a format change.
 #: Version 2 added the memory-hierarchy fields (stall cycles, effective
@@ -89,10 +89,10 @@ def trace_fingerprint(trace) -> str:
     return digest.hexdigest()
 
 
-def layer_key(config_fp: str, trace_fp: str, backend_name: str) -> str:
-    """Content address of one (config, trace, backend) simulation."""
+def layer_key(config_fp: str, trace_fp: str) -> str:
+    """Content address of one (config, trace) simulation."""
     digest = _hasher()
-    digest.update(f"{config_fp}|{trace_fp}|{backend_name}".encode())
+    digest.update(f"{config_fp}|{trace_fp}".encode())
     return digest.hexdigest()
 
 
@@ -191,45 +191,3 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("*/*.json"))
 
-
-class SharedResultCache(ResultCache):
-    """A file-locked shared memo tier between the in-process memo and disk.
-
-    Many engine processes — parallel shard workers, a fleet of ``repro
-    serve`` workers, concurrent benchmark runs — can point at the same
-    ``shared_dir`` (typically on tmpfs) and read through it: whatever one
-    process simulates, its siblings load instead of re-simulating.
-
-    The layout and payload format are exactly :class:`ResultCache`'s
-    content-addressed JSON files; on top of that every read takes a
-    shared ``flock`` and every write an exclusive one on a single
-    directory-level lock file, so a load can never observe a partially
-    visible store even on filesystems where rename atomicity is weaker
-    than POSIX promises.  On platforms without :mod:`fcntl` the locks
-    degrade to no-ops and the atomic-rename discipline of the base class
-    is the only (still safe on POSIX) guarantee.
-    """
-
-    def __init__(self, shared_dir: Union[str, Path]):
-        super().__init__(shared_dir)
-        self._lock_path = self.cache_dir / ".lock"
-
-    @contextmanager
-    def _locked(self, exclusive: bool):
-        if fcntl is None:
-            yield
-            return
-        with open(self._lock_path, "a+") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-
-    def load(self, key: str):
-        with self._locked(exclusive=False):
-            return super().load(key)
-
-    def store(self, key: str, result) -> None:
-        with self._locked(exclusive=True):
-            super().store(key, result)

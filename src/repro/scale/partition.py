@@ -3,8 +3,8 @@
 A partition turns one traced epoch (:class:`~repro.training.tracing.EpochTrace`)
 into per-device *shards* — smaller ``EpochTrace`` objects that the
 :class:`~repro.engine.SimulationEngine` can simulate exactly like any
-other trace, so the result cache, the vectorized/parallel backends and
-the session memo all apply per shard.
+other trace, so the result cache, the simulation backends and the
+session memo all apply per shard.
 
 Two strategies cover the common training layouts:
 

@@ -1,16 +1,34 @@
-"""Tests for the multi-tile accelerator model."""
+"""Tests for the multi-tile accelerator model and its batched kernels.
+
+The packed and ragged kernels must stay bit-identical to the boolean,
+exactly-sized paths: packed vs boolean scheduling, ragged batches, bucket
+splitting, and the non-packable fallback at lanes=32.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
+from repro.core.interconnect import ConnectivityPattern
+from repro.core.scheduler import BatchScheduler, pack_stream_rows
 from repro.core.tile import TensorDashTile
+from tests.test_engine_backends import random_groups
 
 
 def make_groups(num_groups=6, tile_rows=4, stream_rows=25, lanes=16, sparsity=0.6, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((num_groups, tile_rows, stream_rows, lanes)) > sparsity
+
+
+def unpack_claimed(claimed, depth, lanes):
+    """Expand packed claim words back to (batch, depth, lanes) booleans."""
+    out = np.zeros((claimed.shape[0], depth, lanes), dtype=bool)
+    for step in range(depth):
+        for lane in range(lanes):
+            bit = np.uint64(step * lanes + lane)
+            out[:, step, lane] = (claimed >> bit) & np.uint64(1) != 0
+    return out
 
 
 class TestTileCycles:
@@ -29,13 +47,13 @@ class TestTileCycles:
             a_streams = [rng.random((stream_rows, lanes)) for _ in range(4)]
             functional = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
             effectual = np.stack([b != 0 for b in b_streams])
-            assert accelerator.tile_cycles(effectual) == functional.cycles
+            assert accelerator.tile_cycles_batch(effectual[None])[0] == functional.cycles
 
     def test_batch_matches_individual_groups(self):
         accelerator = Accelerator()
         groups = make_groups(num_groups=8, seed=1)
         batched = accelerator.tile_cycles_batch(groups)
-        individual = np.array([accelerator.tile_cycles(g) for g in groups])
+        individual = np.array([accelerator.tile_cycles_batch(g[None])[0] for g in groups])
         assert np.array_equal(batched, individual)
 
     def test_power_gated_matches_baseline(self):
@@ -59,34 +77,34 @@ class TestTileCycles:
 class TestRunOperation:
     def test_speedup_between_one_and_depth(self):
         accelerator = Accelerator()
-        result = accelerator.run_operation("AxW", make_groups(sparsity=0.7, seed=3))
+        result = accelerator.run_operation_batched("AxW", make_groups(sparsity=0.7, seed=3))
         assert 1.0 <= result.speedup <= accelerator.config.pe.max_speedup
 
     def test_dense_operation_has_unit_speedup(self):
         accelerator = Accelerator()
         groups = np.ones((4, 4, 20, 16), dtype=bool)
-        result = accelerator.run_operation("AxW", groups)
+        result = accelerator.run_operation_batched("AxW", groups)
         assert result.speedup == pytest.approx(1.0)
         assert result.potential_speedup == pytest.approx(1.0)
 
     def test_potential_speedup_upper_bounds_actual(self):
         accelerator = Accelerator()
         for sparsity in (0.3, 0.6, 0.9):
-            result = accelerator.run_operation("AxW", make_groups(sparsity=sparsity, seed=4))
+            result = accelerator.run_operation_batched("AxW", make_groups(sparsity=sparsity, seed=4))
             assert result.speedup <= result.potential_speedup + 1e-9
 
     def test_accepts_list_of_groups(self):
         accelerator = Accelerator()
         groups = [g for g in make_groups(num_groups=3, seed=5)]
-        from_list = accelerator.run_operation("AxW", groups)
-        from_array = accelerator.run_operation("AxW", np.stack(groups))
+        from_list = accelerator.run_operation_batched("AxW", groups)
+        from_array = accelerator.run_operation_batched("AxW", np.stack(groups))
         assert from_list.tensordash_cycles == from_array.tensordash_cycles
         assert from_list.baseline_cycles == from_array.baseline_cycles
 
     def test_mac_accounting(self):
         accelerator = Accelerator()
         groups = make_groups(num_groups=2, tile_rows=4, stream_rows=10, seed=6)
-        result = accelerator.run_operation("WxG", groups)
+        result = accelerator.run_operation_batched("WxG", groups)
         assert result.macs_total == 2 * 4 * 10 * 16
         assert result.macs_effectual == int(groups.sum())
 
@@ -118,3 +136,108 @@ class TestConfigPlumbing:
             return baseline / tensordash
 
         assert speedup_with_rows(1) >= speedup_with_rows(4) >= speedup_with_rows(16)
+
+
+class TestPackedScheduler:
+    """schedule_packed must mirror the boolean schedule bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_matches_boolean_schedule(self, seed):
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(1, 4))
+        lanes = 16
+        scheduler = BatchScheduler(
+            ConnectivityPattern(lanes=lanes, staging_depth=depth)
+        )
+        assert scheduler.packable
+        windows = rng.random((64, depth, lanes)) >= float(rng.random())
+        limit = int(rng.integers(1, depth + 1)) if rng.random() < 0.5 else None
+
+        claimed, advance, busy = scheduler.schedule(windows, advance_limit=limit)
+        packed_windows = pack_stream_rows(windows)
+        word = packed_windows[:, 0].copy()
+        for step in range(1, depth):
+            word |= packed_windows[:, step] << np.uint64(step * lanes)
+        p_claimed, p_advance, p_busy = scheduler.schedule_packed(
+            word, advance_limit=limit
+        )
+        assert np.array_equal(advance, p_advance)
+        assert np.array_equal(busy, p_busy)
+        assert np.array_equal(claimed, unpack_claimed(p_claimed, depth, lanes))
+
+    def test_non_packable_config_rejects_packed_path(self):
+        scheduler = BatchScheduler(
+            ConnectivityPattern(lanes=32, staging_depth=3)
+        )
+        assert not scheduler.packable
+        with pytest.raises(ValueError):
+            scheduler.schedule_packed(np.zeros(4, dtype=np.uint64))
+
+
+class TestRaggedBatchedKernels:
+    """Ragged/fused batches must equal exactly-sized per-unit batches."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tile_cycles_batch_ragged_matches_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        acc = Accelerator()
+        tile_rows = 4
+        lanes = acc.config.pe.lanes
+        rows = [int(r) for r in rng.integers(1, 30, size=5)]
+        max_rows = max(rows)
+        groups = np.zeros((len(rows), tile_rows, max_rows, lanes), dtype=bool)
+        for index, r in enumerate(rows):
+            groups[index, :, :r] = rng.random((tile_rows, r, lanes)) >= 0.6
+        ragged = acc.tile_cycles_batch(
+            groups, rows_per_group=np.array(rows, dtype=np.int64)
+        )
+        for index, r in enumerate(rows):
+            exact = acc.tile_cycles_batch(groups[index : index + 1, :, :r])
+            assert ragged[index] == exact[0], (index, r)
+
+    @pytest.mark.parametrize("lanes,depth", [(16, 3), (32, 3)])
+    def test_run_operations_batched_matches_per_unit(self, lanes, depth):
+        # lanes=32 exceeds the 64-bit window: exercises the boolean
+        # fallback; lanes=16 exercises the packed merge.
+        rng = np.random.default_rng(lanes)
+        config = AcceleratorConfig().with_pe(lanes=lanes, staging_depth=depth)
+        acc = Accelerator(config)
+        units = []
+        for index in range(6):
+            num_groups = int(rng.integers(1, 6))
+            stream_rows = int(rng.integers(1, 25))
+            units.append((
+                f"op{index}",
+                random_groups(rng, num_groups, 4, stream_rows, lanes=lanes,
+                              sparsity=float(rng.random())),
+            ))
+        units.append(("empty", np.zeros((0, 4, 5, lanes), dtype=bool)))
+        units.append(("norows", np.zeros((2, 4, 0, lanes), dtype=bool)))
+        fused = acc.run_operations_batched(units)
+        for (name, groups), result in zip(units, fused):
+            assert result == acc.run_operation_batched(name, groups), name
+
+    def test_run_operations_batched_rejects_mixed_tile_rows(self):
+        acc = Accelerator()
+        units = [
+            ("a", np.zeros((1, 4, 3, 16), dtype=bool)),
+            ("b", np.zeros((1, 2, 3, 16), dtype=bool)),
+        ]
+        with pytest.raises(ValueError):
+            acc.run_operations_batched(units)
+
+    def test_bucket_budget_splits_but_stays_identical(self):
+        rng = np.random.default_rng(99)
+        acc = Accelerator()
+        units = [
+            ("op", random_groups(rng, 3, 4, int(r), sparsity=0.5))
+            for r in rng.integers(1, 40, size=8)
+        ]
+        expected = [acc.run_operation_batched(n, g) for n, g in units]
+        old_budget = Accelerator.BATCH_WORD_BUDGET
+        try:
+            Accelerator.BATCH_WORD_BUDGET = 256  # force many tiny buckets
+            fused = acc.run_operations_batched(units)
+        finally:
+            Accelerator.BATCH_WORD_BUDGET = old_budget
+        assert fused == expected

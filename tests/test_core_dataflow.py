@@ -67,7 +67,7 @@ class TestMultiTileResult:
         partitioner = TileWorkPartitioner(config)
         accelerator = Accelerator(config)
         groups = make_groups(48, sparsity=0.7, seed=3)
-        aggregate = accelerator.run_operation("AxW", groups)
+        aggregate = accelerator.run_operation_batched("AxW", groups)
         multi = partitioner.run_operation("AxW", groups)
         assert multi.speedup <= aggregate.speedup + 1e-9
 

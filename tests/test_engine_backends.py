@@ -1,22 +1,27 @@
 """Backend equivalence and result-cache tests for the simulation engine.
 
 The engine's core guarantee is that backend choice is purely a wall-clock
-decision: ``vectorized`` and ``parallel`` must be bit-identical to the
-``reference`` oracle — same cycle counts, same MAC counts, same traffic —
-across sparsity levels and layer shapes.  These tests enforce that at the
+decision: ``vectorized`` must be bit-identical to the ``reference`` oracle
+— same cycle counts, same MAC counts, same traffic — across sparsity
+levels and layer shapes.  These tests enforce that at the
 operation level (random row groups) and at the system level (traced
 layers through the full ``SimulationEngine``), and cover the on-disk
 cache's hit/miss/invalidation semantics.
 """
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig
-from repro.core.tile import TensorDashTile
 from repro.engine import (
-    ParallelBackend,
     ReferenceBackend,
     ResultCache,
     SimulationEngine,
@@ -63,15 +68,13 @@ def assert_results_identical(lhs, rhs):
 
 
 class TestBackendRegistry:
-    def test_all_three_backends_registered(self):
-        assert {"reference", "vectorized", "parallel"} <= set(available_backends())
+    def test_backends_are_exactly_reference_and_vectorized(self):
+        assert available_backends() == ["reference", "vectorized"]
 
     def test_get_backend_resolves_names_and_instances(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
+        assert isinstance(get_backend("vectorized"), VectorizedBackend)
         assert isinstance(get_backend(None), VectorizedBackend)
-        parallel = get_backend("parallel", jobs=3)
-        assert isinstance(parallel, ParallelBackend)
-        assert parallel.jobs == 3
         instance = VectorizedBackend()
         assert get_backend(instance) is instance
 
@@ -122,33 +125,13 @@ class TestOperationEquivalence:
         rng = np.random.default_rng(11)
         acc = Accelerator()
         groups = random_groups(rng, 5, 4, 29, sparsity=0.7)
-        serial = acc.run_operation_serial("AxW", list(groups))
+        serial = sum(int(acc.tile_cycles_batch(g[None])[0]) for g in groups)
         batched = acc.run_operation_batched("AxW", groups)
-        assert serial == batched
-
-
-class TestTileFastPath:
-    @pytest.mark.parametrize("sparsity", [0.0, 0.4, 0.8])
-    def test_vectorized_tile_cycles_match_serial(self, sparsity):
-        rng = np.random.default_rng(int(sparsity * 10) + 1)
-        a_streams = [rng.random((26, 16)) for _ in range(4)]
-        b_streams = []
-        for _ in range(4):
-            b = rng.random((26, 16))
-            b[rng.random((26, 16)) < sparsity] = 0.0
-            b_streams.append(b)
-        tile = TensorDashTile()
-        serial = tile.process(a_streams, b_streams, compute_outputs=False,
-                              vectorized=False)
-        fast = tile.process(a_streams, b_streams, compute_outputs=False,
-                            vectorized=True)
-        assert serial.cycles == fast.cycles
-        assert serial.stall_cycles == fast.stall_cycles
-        assert serial.macs_performed == fast.macs_performed
+        assert serial == batched.tensordash_cycles
 
 
 class TestSystemEquivalence:
-    """Traced layers through the full engine, all three backends."""
+    """Traced layers through the full engine, both backends."""
 
     @pytest.fixture(scope="class")
     def traces(self):
@@ -169,17 +152,6 @@ class TestSystemEquivalence:
         assert_results_identical(engine.simulate_layers(traces),
                                  reference_results)
 
-    def test_parallel_bit_identical(self, traces, reference_results):
-        engine = SimulationEngine(backend="parallel", jobs=2, max_groups=16)
-        results = engine.simulate_layers(traces)
-        assert_results_identical(results, reference_results)
-
-    def test_parallel_single_job_falls_back_in_process(self, traces,
-                                                       reference_results):
-        engine = SimulationEngine(backend="parallel", jobs=1, max_groups=16)
-        assert_results_identical(engine.simulate_layers(traces),
-                                 reference_results)
-
     def test_all_backends_identical_under_finite_hierarchy(self, traces):
         """Memory-aware results are backend-invariant too (incl. stalls)."""
         config = AcceleratorConfig().with_hierarchy(
@@ -193,11 +165,10 @@ class TestSystemEquivalence:
             for result in reference
             for op in result.operations.values()
         )
-        for backend, jobs in (("vectorized", None), ("parallel", 2)):
-            results = SimulationEngine(
-                config, backend=backend, jobs=jobs, max_groups=16
-            ).simulate_layers(traces)
-            assert_results_identical(results, reference)
+        results = SimulationEngine(
+            config, backend="vectorized", max_groups=16
+        ).simulate_layers(traces)
+        assert_results_identical(results, reference)
 
     def test_refill_clamp_equivalence_deep_staging(self):
         """staging depth > scratchpad banks: the clamp binds, backends agree."""
@@ -303,13 +274,17 @@ class TestResultCache:
             for op in result.operations.values()
         )
 
-    def test_backend_is_part_of_the_key(self, traces, tmp_path):
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
-        ref = SimulationEngine(backend="reference", cache_dir=tmp_path,
+    def test_reference_filled_cache_serves_vectorized(self, traces, tmp_path):
+        """Backends are bit-identical, so one backend's entries serve all."""
+        filled = SimulationEngine(backend="reference", cache_dir=tmp_path,
+                                  max_groups=16).simulate_layers(traces)
+        vec = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
                                max_groups=16)
-        ref.simulate_layers(traces)
-        assert ref.stats.cache_hits == 0
+        served = vec.simulate_layers(traces)
+        assert vec.stats.hit_rate == 1.0
+        assert vec.stats.cache_hits == len(traces)
+        assert vec.stats.layers_simulated == 0
+        assert_results_identical(served, filled)
 
     def test_trace_change_invalidates(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -343,14 +318,47 @@ class TestResultCache:
         assert fp1 != config_fingerprint(config, 32, 4)
         tfp = trace_fingerprint(trace)
         assert tfp == trace_fingerprint(trace)
-        key = layer_key(fp1, tfp, "vectorized")
-        assert key != layer_key(fp1, tfp, "reference")
+        key = layer_key(fp1, tfp)
+        assert key == layer_key(fp1, tfp)
+        assert key != layer_key(config_fingerprint(config, 32, 4), tfp)
 
     def test_cache_len_counts_entries(self, traces, tmp_path):
         engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
                                   max_groups=16)
         engine.simulate_layers(traces)
         assert len(ResultCache(tmp_path)) == len(traces)
+
+    def test_cache_dir_shared_across_real_processes(self, traces, tmp_path):
+        """Two processes on one cache dir: the second simulates nothing."""
+        layers_file = tmp_path / "layers.pkl"
+        layers_file.write_bytes(pickle.dumps(traces))
+        worker = (
+            "import json, pickle, sys\n"
+            "from repro.engine import SimulationEngine\n"
+            "layers = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "engine = SimulationEngine(backend=sys.argv[3],"
+            " cache_dir=sys.argv[2], max_groups=16)\n"
+            "engine.simulate_layers(layers)\n"
+            "print(json.dumps({'simulated': engine.stats.layers_simulated,"
+            " 'disk_hits': engine.stats.disk_hits}))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            src + os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else src
+        )
+        stats = []
+        for backend in ("reference", "vectorized"):
+            proc = subprocess.run(
+                [sys.executable, "-c", worker, str(layers_file),
+                 str(tmp_path / "cache"), backend],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            stats.append(json.loads(proc.stdout))
+        assert stats[0] == {"simulated": len(traces), "disk_hits": 0}
+        assert stats[1] == {"simulated": 0, "disk_hits": len(traces)}
 
 
 class TestRunnerIntegration:
@@ -392,11 +400,10 @@ class TestRunnerIntegration:
         )
         trace = trainer.train(dataset, model_name="snli")
         results = {}
-        for backend in ("reference", "vectorized", "parallel"):
-            runner = ExperimentRunner(max_groups=8, backend=backend, jobs=2)
+        for backend in ("reference", "vectorized"):
+            runner = ExperimentRunner(max_groups=8, backend=backend)
             results[backend] = runner.run_final_epoch(trace)
         ref = results["reference"]
-        for backend in ("vectorized", "parallel"):
-            assert_results_identical(results[backend].layer_results,
-                                     ref.layer_results)
-            assert results[backend].speedup() == ref.speedup()
+        assert_results_identical(results["vectorized"].layer_results,
+                                 ref.layer_results)
+        assert results["vectorized"].speedup() == ref.speedup()

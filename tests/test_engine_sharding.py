@@ -1,252 +1,23 @@
-"""Intra-layer sharding, batched-operation, and shared-tier tests.
+"""Shared result-tier tests.
 
-This PR's engine guarantees, enforced here:
+Engines share results through one on-disk cache directory: whatever one
+engine stores there, any other engine (or process) pointed at the same
+directory loads instead of re-simulating.  Enforced here:
 
-* any shard size x job count produces bit-identical results to the
-  reference oracle — including 1-group layers and uneven remainders;
-* the ragged/packed batched kernels (``tile_cycles_batch`` with
-  ``rows_per_group``, ``run_operations_batched``, ``schedule_packed``)
-  are bit-identical to their unbatched counterparts, on packable and
-  non-packable geometries alike;
-* the parallel backend's job-count edge cases fail loudly (``jobs<=0``)
-  or skip the pool entirely (``jobs==1``);
-* the cross-process shared memo tier serves siblings' results and its
-  per-tier hit counters surface in ``EngineStats``.
+* a second engine on the same directory re-simulates nothing and returns
+  bit-identical results;
+* the in-process memo sits above the shared directory, and hits read from
+  the directory are promoted into the memo;
+* the per-tier hit counters survive ``EngineStats`` round trips.
 """
 
-import json
-import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
+import shutil
 
 import numpy as np
-import pytest
 
-from repro.core.accelerator import Accelerator
-from repro.core.config import AcceleratorConfig
-from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, pack_stream_rows
-from repro.engine import (
-    ParallelBackend,
-    ReferenceBackend,
-    SharedResultCache,
-    SimulationEngine,
-    VectorizedBackend,
-    get_backend,
-)
-from repro.engine.parallel import default_shard_groups
+from repro.engine import EngineStats, ResultCache, SimulationEngine
 from repro.simulation.cycle_sim import LayerSimulator
-
-from test_engine_backends import (
-    assert_results_identical,
-    make_conv_trace,
-    random_groups,
-)
-
-
-def unpack_claimed(claimed, depth, lanes):
-    """Expand packed claim words back to (batch, depth, lanes) booleans."""
-    out = np.zeros((claimed.shape[0], depth, lanes), dtype=bool)
-    for step in range(depth):
-        for lane in range(lanes):
-            bit = np.uint64(step * lanes + lane)
-            out[:, step, lane] = (claimed >> bit) & np.uint64(1) != 0
-    return out
-
-
-class TestPackedScheduler:
-    """schedule_packed must mirror the boolean schedule bit for bit."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_packed_matches_boolean_schedule(self, seed):
-        rng = np.random.default_rng(seed)
-        depth = int(rng.integers(1, 4))
-        lanes = 16
-        scheduler = BatchScheduler(
-            ConnectivityPattern(lanes=lanes, staging_depth=depth)
-        )
-        assert scheduler.packable
-        windows = rng.random((64, depth, lanes)) >= float(rng.random())
-        limit = int(rng.integers(1, depth + 1)) if rng.random() < 0.5 else None
-
-        claimed, advance, busy = scheduler.schedule(windows, advance_limit=limit)
-        packed_windows = pack_stream_rows(windows)
-        word = packed_windows[:, 0].copy()
-        for step in range(1, depth):
-            word |= packed_windows[:, step] << np.uint64(step * lanes)
-        p_claimed, p_advance, p_busy = scheduler.schedule_packed(
-            word, advance_limit=limit
-        )
-        assert np.array_equal(advance, p_advance)
-        assert np.array_equal(busy, p_busy)
-        assert np.array_equal(claimed, unpack_claimed(p_claimed, depth, lanes))
-
-    def test_non_packable_config_rejects_packed_path(self):
-        scheduler = BatchScheduler(
-            ConnectivityPattern(lanes=32, staging_depth=3)
-        )
-        assert not scheduler.packable
-        with pytest.raises(ValueError):
-            scheduler.schedule_packed(np.zeros(4, dtype=np.uint64))
-
-
-class TestRaggedBatchedKernels:
-    """Ragged/fused batches must equal exactly-sized per-unit batches."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tile_cycles_batch_ragged_matches_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        acc = Accelerator()
-        tile_rows = 4
-        lanes = acc.config.pe.lanes
-        rows = [int(r) for r in rng.integers(1, 30, size=5)]
-        max_rows = max(rows)
-        groups = np.zeros((len(rows), tile_rows, max_rows, lanes), dtype=bool)
-        for index, r in enumerate(rows):
-            groups[index, :, :r] = rng.random((tile_rows, r, lanes)) >= 0.6
-        ragged = acc.tile_cycles_batch(
-            groups, rows_per_group=np.array(rows, dtype=np.int64)
-        )
-        for index, r in enumerate(rows):
-            exact = acc.tile_cycles_batch(groups[index : index + 1, :, :r])
-            assert ragged[index] == exact[0], (index, r)
-
-    @pytest.mark.parametrize("lanes,depth", [(16, 3), (32, 3)])
-    def test_run_operations_batched_matches_per_unit(self, lanes, depth):
-        # lanes=32 exceeds the 64-bit window: exercises the boolean
-        # fallback; lanes=16 exercises the packed merge.
-        rng = np.random.default_rng(lanes)
-        config = AcceleratorConfig().with_pe(lanes=lanes, staging_depth=depth)
-        acc = Accelerator(config)
-        units = []
-        for index in range(6):
-            num_groups = int(rng.integers(1, 6))
-            stream_rows = int(rng.integers(1, 25))
-            units.append((
-                f"op{index}",
-                random_groups(rng, num_groups, 4, stream_rows, lanes=lanes,
-                              sparsity=float(rng.random())),
-            ))
-        units.append(("empty", np.zeros((0, 4, 5, lanes), dtype=bool)))
-        units.append(("norows", np.zeros((2, 4, 0, lanes), dtype=bool)))
-        fused = acc.run_operations_batched(units)
-        for (name, groups), result in zip(units, fused):
-            assert result == acc.run_operation_batched(name, groups), name
-
-    def test_run_operations_batched_rejects_mixed_tile_rows(self):
-        acc = Accelerator()
-        units = [
-            ("a", np.zeros((1, 4, 3, 16), dtype=bool)),
-            ("b", np.zeros((1, 2, 3, 16), dtype=bool)),
-        ]
-        with pytest.raises(ValueError):
-            acc.run_operations_batched(units)
-
-    def test_bucket_budget_splits_but_stays_identical(self):
-        rng = np.random.default_rng(99)
-        acc = Accelerator()
-        units = [
-            ("op", random_groups(rng, 3, 4, int(r), sparsity=0.5))
-            for r in rng.integers(1, 40, size=8)
-        ]
-        expected = [acc.run_operation_batched(n, g) for n, g in units]
-        old_budget = Accelerator.BATCH_WORD_BUDGET
-        try:
-            Accelerator.BATCH_WORD_BUDGET = 256  # force many tiny buckets
-            fused = acc.run_operations_batched(units)
-        finally:
-            Accelerator.BATCH_WORD_BUDGET = old_budget
-        assert fused == expected
-
-
-class TestParallelJobsEdgeCases:
-    def test_zero_or_negative_jobs_raise(self):
-        for jobs in (0, -1, -8):
-            with pytest.raises(ValueError):
-                ParallelBackend(jobs=jobs)
-            with pytest.raises(ValueError):
-                get_backend("parallel", jobs=jobs)
-
-    def test_invalid_shard_groups_raise(self):
-        with pytest.raises(ValueError):
-            ParallelBackend(jobs=2, shard_groups=0)
-
-    def test_shard_groups_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_GROUPS", "7")
-        assert ParallelBackend(jobs=2).shard_groups == 7
-
-    def test_single_job_never_touches_multiprocessing(self, monkeypatch):
-        import repro.engine.parallel as parallel_module
-
-        def explode(*args, **kwargs):
-            raise AssertionError("jobs=1 must not create a pool")
-
-        monkeypatch.setattr(
-            parallel_module.multiprocessing, "get_context", explode
-        )
-        rng = np.random.default_rng(0)
-        traces = [make_conv_trace(rng, name="only")]
-        simulator = LayerSimulator(max_groups=8, backend="vectorized")
-        backend = ParallelBackend(jobs=1)
-        results = backend.simulate_layers(simulator, traces)
-        reference = LayerSimulator(
-            max_groups=8, backend="reference"
-        ).simulate_layers(traces)
-        assert_results_identical(results, reference)
-        assert backend.last_shard_info["jobs"] == 1
-
-    def test_default_shard_groups_scales_with_work(self):
-        assert default_shard_groups(0, 4) == 1
-        assert default_shard_groups(10, 4) == 16  # floored
-        assert default_shard_groups(16000, 8) == 500
-
-
-class TestIntraLayerShardingBitIdentity:
-    """Property: shard size x job count never changes a single bit."""
-
-    @pytest.fixture(scope="class")
-    def traces(self):
-        rng = np.random.default_rng(42)
-        return [
-            make_conv_trace(rng, name="big", channels=8, size=8),
-            make_conv_trace(rng, name="small", channels=3, size=6),
-            make_conv_trace(rng, name="tiny", channels=1, size=4, kernel=1),
-        ]
-
-    @pytest.fixture(scope="class")
-    def reference_results(self, traces):
-        return LayerSimulator(
-            max_groups=16, backend="reference"
-        ).simulate_layers(traces)
-
-    @pytest.mark.parametrize("shard_groups", [1, 3, 7, 1000, None])
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_any_shard_size_any_jobs(self, traces, reference_results,
-                                     shard_groups, jobs):
-        backend = ParallelBackend(jobs=jobs, shard_groups=shard_groups)
-        simulator = LayerSimulator(max_groups=16, backend=backend)
-        results = backend.simulate_layers(simulator, traces)
-        assert_results_identical(results, reference_results)
-
-    def test_one_group_layers_and_uneven_remainders(self, traces,
-                                                    reference_results):
-        # max_groups=16 yields several multi-group units plus 1-group
-        # units; shard_groups=5 leaves uneven remainders (16 = 3*5 + 1).
-        backend = ParallelBackend(jobs=2, shard_groups=5)
-        simulator = LayerSimulator(max_groups=16, backend=backend)
-        results = backend.simulate_layers(simulator, traces)
-        assert_results_identical(results, reference_results)
-        info = backend.last_shard_info
-        assert info["shards"] > info["units"]
-
-    def test_engine_level_parallel_matches_reference(self, traces,
-                                                     reference_results):
-        engine = SimulationEngine(backend="parallel", jobs=2, max_groups=16)
-        assert_results_identical(
-            engine.simulate_layers(traces), reference_results
-        )
+from tests.test_engine_backends import assert_results_identical, make_conv_trace
 
 
 class TestSharedTier:
@@ -254,9 +25,9 @@ class TestSharedTier:
         rng = np.random.default_rng(1)
         trace = make_conv_trace(rng)
         result = LayerSimulator(max_groups=4).simulate_layer(trace)
-        cache = SharedResultCache(tmp_path / "shared")
+        cache = ResultCache(tmp_path / "shared")
         cache.store("k" * 64, result)
-        loaded = cache.load("k" * 64)
+        loaded = ResultCache(tmp_path / "shared").load("k" * 64)
         assert loaded.operations == result.operations
         assert loaded.traffic == result.traffic
         assert cache.load("m" * 64) is None
@@ -266,96 +37,63 @@ class TestSharedTier:
         traces = [make_conv_trace(rng, name=f"c{i}") for i in range(3)]
         shared = str(tmp_path / "shared")
 
-        first = SimulationEngine(backend="vectorized", shared_dir=shared,
+        first = SimulationEngine(backend="reference", cache_dir=shared,
                                  max_groups=8)
         fresh = first.simulate_layers(traces)
         assert first.stats.layers_simulated == 3
-        assert first.stats.shared_hits == 0
+        assert first.stats.disk_hits == 0
 
-        second = SimulationEngine(backend="vectorized", shared_dir=shared,
+        second = SimulationEngine(backend="vectorized", cache_dir=shared,
                                   max_groups=8)
         warm = second.simulate_layers(traces)
         assert second.stats.layers_simulated == 0
-        assert second.stats.shared_hits == 3
+        assert second.stats.disk_hits == 3
         assert second.stats.cache_hits == 3  # aggregate includes the tier
         assert_results_identical(warm, fresh)
 
     def test_disk_hits_promote_into_shared_tier(self, tmp_path):
         rng = np.random.default_rng(3)
         traces = [make_conv_trace(rng, name="p")]
-        disk = str(tmp_path / "disk")
-        shared = str(tmp_path / "shared")
+        shared = tmp_path / "shared"
 
-        SimulationEngine(backend="vectorized", cache_dir=disk,
+        SimulationEngine(backend="vectorized", cache_dir=str(shared),
                          max_groups=8).simulate_layers(traces)
-        both = SimulationEngine(backend="vectorized", cache_dir=disk,
-                                shared_dir=shared, max_groups=8)
-        both.simulate_layers(traces)
-        assert both.stats.disk_hits == 1
-        assert both.stats.layers_simulated == 0
+        engine = SimulationEngine(backend="vectorized", cache_dir=str(shared),
+                                  memory_cache=True, max_groups=8)
+        fresh = engine.simulate_layers(traces)
+        assert engine.stats.disk_hits == 1
+        assert engine.stats.layers_simulated == 0
 
-        shared_only = SimulationEngine(backend="vectorized",
-                                       shared_dir=shared, max_groups=8)
-        shared_only.simulate_layers(traces)
-        assert shared_only.stats.shared_hits == 1
-        assert shared_only.stats.layers_simulated == 0
+        # With the directory gone the promoted entry still serves.
+        shutil.rmtree(shared)
+        again = engine.simulate_layers(traces)
+        assert engine.stats.memo_hits == 1
+        assert engine.stats.disk_hits == 1
+        assert engine.stats.layers_simulated == 0
+        assert_results_identical(again, fresh)
 
     def test_memo_sits_above_shared_tier(self, tmp_path):
         rng = np.random.default_rng(4)
         traces = [make_conv_trace(rng, name="m")]
         engine = SimulationEngine(backend="vectorized", memory_cache=True,
-                                  shared_dir=str(tmp_path / "s"),
+                                  cache_dir=str(tmp_path / "s"),
                                   max_groups=8)
         engine.simulate_layers(traces)
         engine.simulate_layers(traces)
         assert engine.stats.memo_hits == 1
-        assert engine.stats.shared_hits == 0
+        assert engine.stats.disk_hits == 0
+        assert engine.stats.layers_simulated == 1
 
     def test_stats_round_trip_with_tier_counters(self):
-        from repro.engine import EngineStats
-
-        stats = EngineStats(backend="vectorized", shared_dir="/tmp/x",
-                            cache_hits=5, memo_hits=2, shared_hits=2,
-                            disk_hits=1, cache_misses=1)
+        stats = EngineStats(backend="vectorized", cache_dir="shared-cache",
+                            cache_hits=5, memo_hits=3, disk_hits=2,
+                            cache_misses=1)
         payload = stats.as_dict()
-        assert payload["shared_hits"] == 2
+        assert payload["memo_hits"] == 3
+        assert payload["disk_hits"] == 2
         assert EngineStats.from_dict(payload) == stats
         delta = stats.since(EngineStats(backend="vectorized",
-                                        shared_dir="/tmp/x", shared_hits=1))
-        assert delta.shared_hits == 1
-
-    def test_shared_tier_across_real_processes(self, tmp_path):
-        """Two distinct worker processes: the second re-simulates nothing."""
-        rng = np.random.default_rng(5)
-        traces = [make_conv_trace(rng, name=f"x{i}") for i in range(2)]
-        layers_file = tmp_path / "layers.pkl"
-        layers_file.write_bytes(pickle.dumps(traces))
-        shared_dir = tmp_path / "shared"
-
-        worker = (
-            "import json, pickle, sys\n"
-            "from repro.engine import SimulationEngine\n"
-            "layers = pickle.load(open(sys.argv[1], 'rb'))\n"
-            "engine = SimulationEngine(backend='vectorized',"
-            " shared_dir=sys.argv[2], max_groups=8)\n"
-            "engine.simulate_layers(layers)\n"
-            "print(json.dumps({'simulated': engine.stats.layers_simulated,"
-            " 'shared_hits': engine.stats.shared_hits}))\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src
-        )
-        stats = []
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-c", worker, str(layers_file),
-                 str(shared_dir)],
-                capture_output=True, text=True, env=env, check=False,
-            )
-            assert proc.returncode == 0, proc.stderr[-2000:]
-            stats.append(json.loads(proc.stdout))
-        assert stats[0] == {"simulated": 2, "shared_hits": 0}
-        assert stats[1] == {"simulated": 0, "shared_hits": 2}
+                                        cache_dir="shared-cache",
+                                        memo_hits=1, disk_hits=1))
+        assert delta.memo_hits == 2
+        assert delta.disk_hits == 1

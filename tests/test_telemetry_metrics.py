@@ -4,7 +4,7 @@ Counters only go up, gauges move freely, histograms bucket cumulatively
 with Prometheus ``le``/``_sum``/``_count`` semantics; registration is
 idempotent per (name, type, labels); rendering is deterministic and the
 instruments stay correct under concurrent writers (the threading HTTP
-server and the parallel backend both update them from many threads).
+server and the job worker pool update them from many threads).
 """
 
 import threading
@@ -145,7 +145,7 @@ class TestRegistry:
             series["labels"]["tier"]
             for series in payload["repro_cache_hits_total"]["values"]
         }
-        assert {"memo", "shared", "disk"} <= tiers
+        assert tiers == {"memo", "disk"}
         assert "repro_cache_misses_total" in payload
 
 
