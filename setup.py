@@ -24,7 +24,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
     extras_require={
-        "dev": ["pytest"],
+        "dev": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

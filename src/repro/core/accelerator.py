@@ -9,14 +9,14 @@ inter-tile imbalance.
 
 For large workloads the per-value functional simulation in
 :class:`repro.core.tile.TensorDashTile` is too slow, so the accelerator
-offers a cycle-only path built on the vectorised
-:class:`repro.core.scheduler.BatchScheduler`; its cycle counts are
+offers a cycle-only path built on the bit-packed
+:class:`repro.core.scheduler.BatchScheduler` kernel; its cycle counts are
 identical to the functional model (verified by tests) because the
 scheduler decisions only depend on the operand zero patterns.
 
 :meth:`Accelerator.tile_cycles_batch` schedules many lockstep groups at
 once and :meth:`Accelerator.run_operations_batched` fuses whole
-operations into ragged bit-packed batches — the ``vectorized`` engine
+operations into shared ragged batches — the ``vectorized`` engine
 backend's kernel.  The readable oracle it is checked against is
 :class:`repro.engine.backend.ReferenceBackend`.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import AcceleratorConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, pack_stream_rows
+from repro.core.scheduler import BatchScheduler
 
 
 @dataclass
@@ -61,6 +61,26 @@ class OperationResult:
     dram_bytes: int = 0
     #: Compute-bound / memory-bound verdict for the TensorDash design.
     bound: str = "compute"
+
+    @classmethod
+    def from_groups(
+        cls, name: str, groups: np.ndarray, tensordash_cycles: int
+    ) -> "OperationResult":
+        """Compute-only result for ``groups`` that took ``tensordash_cycles``.
+
+        ``groups`` is the operation's boolean ``(num_groups, tile_rows,
+        stream_rows, lanes)`` array of effectual positions: the dense
+        baseline spends one cycle per stream row of each group, and every
+        position is a MAC slot.
+        """
+        num_groups, tile_rows, stream_rows, lanes = groups.shape
+        return cls(
+            name=name,
+            baseline_cycles=num_groups * stream_rows,
+            tensordash_cycles=tensordash_cycles,
+            macs_total=num_groups * tile_rows * stream_rows * lanes,
+            macs_effectual=int(groups.sum()),
+        )
 
     @property
     def baseline_compute_cycles(self) -> int:
@@ -154,14 +174,11 @@ class Accelerator:
             lanes)``.  Each group's rows advance in lockstep (shared A-side
             staging buffers); different groups are independent.
         rows_per_group:
-            Optional per-group dense-schedule lengths, enabling *ragged*
-            batches: group ``g`` only covers its first
-            ``rows_per_group[g]`` stream rows and every position beyond
-            them must be False (padding).  ``None`` means every group
-            spans the full ``stream_rows``.  Results are bit-identical to
-            running each group in its own exactly-sized batch, which is
-            what lets the engine fuse operations of different shapes into
-            one scheduling pass.
+            Optional per-group dense-schedule lengths, each in ``[0,
+            stream_rows]``: group ``g`` only covers its first
+            ``rows_per_group[g]`` stream rows, and positions beyond them
+            are ignored.  ``None`` means every group spans the full
+            ``stream_rows``.
 
         Returns
         -------
@@ -171,159 +188,28 @@ class Accelerator:
             baseline's.
         """
         groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
-        num_groups, tile_rows, stream_rows, lanes = groups.shape
         if rows_per_group is None:
-            rows_per_group = np.full(num_groups, stream_rows, dtype=np.int64)
-        else:
-            rows_per_group = np.asarray(rows_per_group, dtype=np.int64)
-            if rows_per_group.shape != (num_groups,):
-                raise ValueError(
-                    f"rows_per_group must have shape ({num_groups},), "
-                    f"got {rows_per_group.shape}"
-                )
-        if self.config.power_gated:
-            return rows_per_group.copy()
-        if stream_rows == 0 or num_groups == 0:
-            return np.zeros(num_groups, dtype=np.int64)
-        depth = self.config.pe.staging_depth
-
-        if self.batch_scheduler.packable:
-            flat = groups.reshape(num_groups * tile_rows, stream_rows, lanes)
-            packed = np.zeros(
-                (flat.shape[0], stream_rows + depth), dtype=np.uint64
-            )
-            packed[:, :stream_rows] = pack_stream_rows(flat)
-            return self.tile_cycles_packed(packed, tile_rows, rows_per_group)
-
-        flat = groups.reshape(num_groups * tile_rows, stream_rows, lanes)
-        padded = np.zeros((flat.shape[0], stream_rows + depth, lanes), dtype=bool)
-        padded[:, :stream_rows] = flat
-
-        group_position = np.zeros(num_groups, dtype=np.int64)
-        cycles = np.zeros(num_groups, dtype=np.int64)
-        row_offsets = np.arange(depth)
-        stream_group = np.repeat(np.arange(num_groups), tile_rows)
-
-        active_groups = group_position < rows_per_group
-        while active_groups.any():
-            active_streams = active_groups[stream_group]
-            stream_idx = np.nonzero(active_streams)[0]
-            positions = group_position[stream_group[stream_idx]]
-            gather = positions[:, None] + row_offsets[None, :]
-            windows = padded[
-                stream_idx[:, None, None],
-                gather[:, :, None],
-                np.arange(lanes)[None, None, :],
-            ]
-            claimed, advance, _ = self.batch_scheduler.schedule(
-                windows, advance_limit=self.refill_limit
-            )
-            padded[
-                stream_idx[:, None, None],
-                gather[:, :, None],
-                np.arange(lanes)[None, None, :],
-            ] &= ~claimed
-            # Reduce the per-stream advance to a per-group minimum.
-            group_advance = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(group_advance, stream_group[stream_idx], advance)
-            active_idx = np.nonzero(active_groups)[0]
-            step = np.minimum(
-                group_advance[active_idx],
-                rows_per_group[active_idx] - group_position[active_idx],
-            )
-            group_position[active_idx] += step
-            cycles[active_idx] += 1
-            active_groups = group_position < rows_per_group
-        return cycles
-
-    def tile_cycles_packed(
-        self,
-        packed_rows: np.ndarray,
-        tile_rows: int,
-        rows_per_group: np.ndarray,
-    ) -> np.ndarray:
-        """Ragged batched tile cycles on bit-packed operand rows.
-
-        This is the engine's hot kernel: the whole batch — typically every
-        work group of every operation of a layer, or of many layers — is
-        scheduled together, paying the per-cycle dispatch cost once for
-        the batch instead of once per operation.
-
-        Parameters
-        ----------
-        packed_rows:
-            ``uint64`` array of shape ``(num_groups * tile_rows,
-            max_rows + staging_depth)``; word ``[s, r]`` holds the lane
-            bitmask of stream ``s``'s dense-schedule row ``r`` (see
-            :func:`~repro.core.scheduler.pack_stream_rows`).  Streams of
-            one group are contiguous.  Rows at or beyond the group's
-            ``rows_per_group`` entry must be zero.  **Mutated in place**
-            (consumed pairs are cleared) — pass a copy to reuse it.
-        tile_rows:
-            Streams per lockstep group.
-        rows_per_group:
-            Per-group dense-schedule lengths, shape ``(num_groups,)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Per-group cycle counts, bit-identical to the boolean path.
-        """
-        if not self.batch_scheduler.packable:
-            raise ValueError("configuration does not fit 64-bit packed windows")
-        rows_per_group = np.asarray(rows_per_group, dtype=np.int64)
-        num_groups = rows_per_group.shape[0]
-        cycles = np.zeros(num_groups, dtype=np.int64)
-        if self.config.power_gated:
-            return rows_per_group.copy()
-        if num_groups == 0:
-            return cycles
-        lanes = self.config.pe.lanes
-        depth = self.config.pe.staging_depth
-        width = packed_rows.shape[1]
-        if packed_rows.shape[0] != num_groups * tile_rows:
+            return self._tile_cycles([groups])
+        full_rows = self.batch_scheduler.group_rows([groups])
+        rows = np.asarray(rows_per_group, dtype=np.int64)
+        if rows.shape != full_rows.shape:
             raise ValueError(
-                f"expected {num_groups * tile_rows} packed streams, "
-                f"got {packed_rows.shape[0]}"
+                f"rows_per_group must have shape {full_rows.shape}, got {rows.shape}"
             )
-        flat = np.ascontiguousarray(packed_rows).reshape(-1)
-        lane_mask = np.uint64((1 << lanes) - 1) if lanes < 64 else ~np.uint64(0)
-        shifts = [np.uint64(lanes * k) for k in range(depth)]
-        tile_offsets = np.arange(tile_rows, dtype=np.int64) * width
+        if np.any((rows < 0) | (rows > full_rows)):
+            raise ValueError(
+                f"rows_per_group entries must lie in [0, {groups.shape[2]}], "
+                f"got {rows.tolist()}"
+            )
+        return self._tile_cycles(
+            [group[None, :, :length] for group, length in zip(groups, rows)]
+        )
 
-        position = np.zeros(num_groups, dtype=np.int64)
-        active = position < rows_per_group
-        active_idx = np.nonzero(active)[0]
-        while active_idx.size:
-            # Streams of active groups are contiguous runs of tile_rows.
-            base = (
-                active_idx[:, None] * (tile_rows * width)
-                + tile_offsets[None, :]
-                + position[active_idx, None]
-            ).reshape(-1)
-            windows = flat[base]
-            for k in range(1, depth):
-                windows = windows | (flat[base + k] << shifts[k])
-            claimed, advance, _ = self.batch_scheduler.schedule_packed(
-                windows, advance_limit=self.refill_limit
-            )
-            flat[base] &= ~(claimed & lane_mask)
-            for k in range(1, depth):
-                flat[base + k] &= ~((claimed >> shifts[k]) & lane_mask)
-            group_advance = advance.reshape(-1, tile_rows).min(axis=1)
-            step = np.minimum(
-                group_advance, rows_per_group[active_idx] - position[active_idx]
-            )
-            position[active_idx] += step
-            cycles[active_idx] += 1
-            active_idx = active_idx[
-                position[active_idx] < rows_per_group[active_idx]
-            ]
-        return cycles
+    def _tile_cycles(self, units: List[np.ndarray]) -> np.ndarray:
+        """Per-group cycles of ``units`` (see :meth:`BatchScheduler.tile_cycles`)."""
+        if self.config.power_gated:
+            return self.batch_scheduler.group_rows(units)
+        return self.batch_scheduler.tile_cycles(units, advance_limit=self.refill_limit)
 
     # ------------------------------------------------------------------
     def run_operation_batched(self, name: str, groups: np.ndarray) -> OperationResult:
@@ -333,24 +219,7 @@ class Accelerator:
         ``groups`` must be a boolean 4D array of shape ``(num_groups,
         tile_rows, stream_rows, lanes)``.
         """
-        groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
-        num_groups, tile_rows, stream_rows, _ = groups.shape
-        return OperationResult(
-            name=name,
-            baseline_cycles=num_groups * stream_rows,
-            tensordash_cycles=int(self.tile_cycles_batch(groups).sum()),
-            macs_total=num_groups * tile_rows * stream_rows * self.config.pe.lanes,
-            macs_effectual=int(groups.sum()),
-        )
-
-    #: Upper bound on the ``uint64`` words one merged scheduling bucket may
-    #: hold (~64 MiB).  Units are packed greedily in ascending stream-row
-    #: order, so each bucket mixes similar lengths and padding stays small.
-    BATCH_WORD_BUDGET = 8_000_000
+        return self.run_operations_batched([(name, groups)])[0]
 
     def run_operations_batched(
         self, units: Sequence[Tuple[str, np.ndarray]]
@@ -362,107 +231,22 @@ class Accelerator:
         operations *and different layers* — each work group is an
         independent lockstep unit, so fusing them into one batch changes
         nothing about the schedule while amortising the per-cycle
-        dispatch cost over the whole batch.  Results are returned in
-        input order and are bit-identical to calling
-        :meth:`run_operation_batched` per unit.
-
-        Units are sorted by stream-row count and merged into buckets of
-        at most :data:`BATCH_WORD_BUDGET` packed words *after padding*,
-        with padding capped at half a bucket — this bounds peak memory
-        and keeps the first-touch cost of fresh allocations proportional
-        to the useful data.  Configurations whose staging window exceeds
-        64 bits fall back to the per-unit boolean path.
+        dispatch cost over the whole batch (see
+        :meth:`BatchScheduler.tile_cycles`, which also bounds the memory
+        a batch may take).  Results are returned in input order and are
+        bit-identical to calling :meth:`run_operation_batched` per unit.
         """
-        results: List[Optional[OperationResult]] = [None] * len(units)
-        if not units:
-            return []
-        if not self.batch_scheduler.packable or self.config.power_gated:
-            for index, (name, groups) in enumerate(units):
-                results[index] = self.run_operation_batched(name, groups)
-            return results
-
-        depth = self.config.pe.staging_depth
-        shapes = []
+        units = [(name, np.asarray(groups, dtype=bool)) for name, groups in units]
+        cycles = self._tile_cycles([groups for _, groups in units])
+        results = []
+        offset = 0
         for name, groups in units:
-            groups = np.asarray(groups, dtype=bool)
-            if groups.ndim != 4:
-                raise ValueError(
-                    f"groups must be 4D (groups, tile_rows, stream_rows, lanes), "
-                    f"got {groups.shape}"
-                )
-            shapes.append(groups.shape)
-        tile_rows = {shape[1] for shape in shapes if shape[0]}
-        if len(tile_rows) > 1:
-            raise ValueError(f"units mix tile_rows values: {sorted(tile_rows)}")
-
-        order = sorted(range(len(units)), key=lambda i: shapes[i][2])
-        bucket: List[int] = []
-        bucket_streams = 0
-        bucket_words = 0
-        for index in order:
-            num_groups, rows_in_tile, stream_rows, _ = shapes[index]
-            if num_groups == 0 or stream_rows == 0:
-                results[index] = self.run_operation_batched(*units[index])
-                continue
-            streams = num_groups * rows_in_tile
-            words = streams * (stream_rows + depth)
-            # Ascending sort makes the candidate's stream_rows the bucket
-            # maximum, so this is the exact post-padding allocation size.
-            padded = (bucket_streams + streams) * (stream_rows + depth)
-            if bucket and (
-                padded > self.BATCH_WORD_BUDGET
-                or padded > 2 * (bucket_words + words)
-            ):
-                self._run_bucket(bucket, units, shapes, results)
-                bucket, bucket_streams, bucket_words = [], 0, 0
-            bucket.append(index)
-            bucket_streams += streams
-            bucket_words += words
-        if bucket:
-            self._run_bucket(bucket, units, shapes, results)
-        return results
-
-    def _run_bucket(
-        self,
-        bucket: List[int],
-        units: Sequence[Tuple[str, np.ndarray]],
-        shapes: List[tuple],
-        results: List[Optional[OperationResult]],
-    ) -> None:
-        """Schedule one merged bucket and scatter its per-unit results."""
-        depth = self.config.pe.staging_depth
-        lanes = self.config.pe.lanes
-        tile_rows = shapes[bucket[0]][1]
-        max_rows = max(shapes[i][2] for i in bucket)
-        width = max_rows + depth
-        total_groups = sum(shapes[i][0] for i in bucket)
-        packed = np.zeros((total_groups * tile_rows, width), dtype=np.uint64)
-        rows_per_group = np.empty(total_groups, dtype=np.int64)
-        offset = 0
-        for index in bucket:
-            groups = np.asarray(units[index][1], dtype=bool)
-            num_groups, _, stream_rows, _ = shapes[index]
-            packed[
-                offset * tile_rows : (offset + num_groups) * tile_rows, :stream_rows
-            ] = pack_stream_rows(groups.reshape(-1, stream_rows, lanes))
-            rows_per_group[offset : offset + num_groups] = stream_rows
-            offset += num_groups
-        cycles = self.tile_cycles_packed(packed, tile_rows, rows_per_group)
-        offset = 0
-        for index in bucket:
-            name, groups = units[index]
-            groups = np.asarray(groups, dtype=bool)
-            num_groups, _, stream_rows, _ = shapes[index]
-            results[index] = OperationResult(
-                name=name,
-                baseline_cycles=num_groups * stream_rows,
-                tensordash_cycles=int(
-                    cycles[offset : offset + num_groups].sum()
-                ),
-                macs_total=num_groups * tile_rows * stream_rows * lanes,
-                macs_effectual=int(groups.sum()),
+            end = offset + groups.shape[0]
+            results.append(
+                OperationResult.from_groups(name, groups, int(cycles[offset:end].sum()))
             )
-            offset += num_groups
+            offset = end
+        return results
 
     def describe(self) -> str:
         """Summary string for reports."""

@@ -99,29 +99,18 @@ class PreScheduler:
                 f"stream must be (rows, {self.pattern.lanes}), got {stream.shape}"
             )
         rows, lanes = stream.shape
-        depth = self.pattern.staging_depth
-        pending = stream != 0
-        pending = pending.copy()
         packed: List[ScheduledRow] = []
-        position = 0
-        while position < rows:
-            window = np.zeros((depth, lanes), dtype=bool)
-            visible = min(depth, rows - position)
-            window[:visible] = pending[position : position + visible]
-            schedule = self.scheduler.schedule_step(window)
+        for position, (schedule,), advance in self.scheduler.walk((stream != 0)[None]):
             values = np.zeros(lanes, dtype=np.float64)
-            indices: List[Optional[int]] = [None] * lanes
             for lane, selection in enumerate(schedule.selections):
-                if selection is None:
-                    continue
-                step, source_lane = selection
-                stream_row = position + step
-                pending[stream_row, source_lane] = False
-                values[lane] = stream[stream_row, source_lane]
-                indices[lane] = schedule.select_signals[lane]
-            advance = min(schedule.advance, rows - position)
-            packed.append(ScheduledRow(values=values, indices=indices, advance=advance))
-            position += advance
+                if selection is not None:
+                    step, source_lane = selection
+                    values[lane] = stream[position + step, source_lane]
+            packed.append(
+                ScheduledRow(
+                    values=values, indices=schedule.select_signals, advance=advance
+                )
+            )
         return ScheduledTensor(rows=packed, dense_rows=rows, lanes=lanes)
 
     def decompress(self, scheduled: ScheduledTensor) -> np.ndarray:

@@ -12,19 +12,22 @@ selections from the Z vector before passing it to the next level.  The
 software model here processes lanes in the same level order, which produces
 bit-identical schedules to the combinational circuit.
 
-Two implementations are provided:
+One readable oracle and one fast kernel are provided:
 
-* :class:`HardwareScheduler` — a direct, readable model of a single
-  scheduling step, used by the PE/tile models and by the unit tests.
-* :class:`BatchScheduler` — a numpy-vectorised equivalent that schedules
-  many independent staging windows at once, used by the cycle simulator to
-  keep full-model experiments tractable.
+* :class:`HardwareScheduler` — a direct model of a single scheduling step
+  (:meth:`~HardwareScheduler.schedule_step`) plus the one loop that steps
+  it through a stream (:meth:`~HardwareScheduler.walk`).  The PE, tile,
+  pre-scheduler and reference-backend models are all built on ``walk``.
+* :class:`BatchScheduler` — the bit-packed numpy kernel: one ``uint64``
+  word per staging window, stepped for many independent lockstep groups
+  at once, which keeps full-model experiments tractable.  Windows wider
+  than 64 bits run on ``walk`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,6 +185,57 @@ class HardwareScheduler:
         return max(advance, 1)
 
     # -- stream processing ---------------------------------------------------
+    def walk(
+        self, effectual: np.ndarray, advance_limit: Optional[int] = None
+    ) -> Iterator[Tuple[int, List[Schedule], int]]:
+        """Step a lockstep group of PE rows through its dense schedule.
+
+        This is the one loop that drives :meth:`schedule_step`.  The rows
+        of a tile share their A-side staging buffers, so each cycle the
+        group advances by the smallest AS signal across its rows; a lone
+        PE is a group of one row.
+
+        Parameters
+        ----------
+        effectual:
+            Boolean array of shape ``(pe_rows, rows, lanes)``: per PE row,
+            which positions of its dense schedule hold effectual pairs.
+        advance_limit:
+            Per-cycle staging refill limit forwarded to
+            :meth:`schedule_step` (``None`` = unlimited).
+
+        Yields
+        ------
+        (position, schedules, advance):
+            One tuple per cycle: the dense row the staging window starts
+            at, one :class:`Schedule` per PE row (its selections are
+            relative to ``position``), and the rows the group then
+            advances, clipped to the end of the stream.  The number of
+            yields is the group's cycle count.
+        """
+        pe_rows, rows, lanes = effectual.shape
+        if lanes != self.pattern.lanes:
+            raise ValueError(
+                f"stream has {lanes} lanes, scheduler expects {self.pattern.lanes}"
+            )
+        depth = self.pattern.staging_depth
+        # Empty rows past the end stand in for staging slots with no data.
+        pending = np.zeros((pe_rows, rows + depth, lanes), dtype=bool)
+        pending[:, :rows] = effectual
+        position = 0
+        while position < rows:
+            schedules = []
+            for row in range(pe_rows):
+                window = pending[row, position : position + depth]
+                schedule = self.schedule_step(window, advance_limit=advance_limit)
+                for selection in schedule.selections:
+                    if selection is not None:
+                        window[selection] = False
+                schedules.append(schedule)
+            advance = min(min(s.advance for s in schedules), rows - position)
+            yield position, schedules, advance
+            position += advance
+
     def process_stream(
         self,
         effectual_rows: np.ndarray,
@@ -203,93 +257,52 @@ class HardwareScheduler:
         (cycles, schedules):
             Total cycles needed and the per-cycle schedules.
         """
-        rows, lanes = effectual_rows.shape
-        if lanes != self.pattern.lanes:
-            raise ValueError(
-                f"stream has {lanes} lanes, scheduler expects {self.pattern.lanes}"
-            )
-        depth = self.pattern.staging_depth
-        pending = effectual_rows.copy()
-        schedules: List[Schedule] = []
-        position = 0
-        cycles = 0
-        while position < rows:
-            window = np.zeros((depth, lanes), dtype=bool)
-            visible = min(depth, rows - position)
-            window[:visible] = pending[position : position + visible]
-            schedule = self.schedule_step(window, advance_limit=advance_limit)
-            # Clear the consumed pairs from the pending stream.
-            for selection in schedule.selections:
-                if selection is None:
-                    continue
-                step, lane = selection
-                pending[position + step, lane] = False
-            advance = min(schedule.advance, rows - position)
-            position += advance
-            cycles += 1
-            schedules.append(schedule)
-        return cycles, schedules
+        schedules = [
+            schedule
+            for _, (schedule,), _ in self.walk(effectual_rows[None], advance_limit)
+        ]
+        return len(schedules), schedules
 
 
 class BatchScheduler:
-    """Vectorised scheduler over many independent staging windows.
+    """The bit-packed kernel: many independent lockstep groups at once.
 
-    The hardware scheduler is combinational and stateless, so scheduling S
-    independent windows is embarrassingly parallel.  This class expresses
-    the priority walk as numpy operations over the batch dimension, which
-    the cycle simulator relies on to keep full-model experiments
-    tractable.  Its decisions are bit-identical to
-    :class:`HardwareScheduler` (covered by a property test).
+    The hardware scheduler is combinational and stateless, so scheduling
+    many independent staging windows is embarrassingly parallel.  Each
+    window is packed into one ``uint64`` word — bit ``step * lanes + lane``
+    is staging position ``(step, lane)`` — and :meth:`schedule_packed`
+    walks the priority encoders with a handful of bitwise numpy operations
+    per lane over the whole batch.  :meth:`tile_cycles` steps ragged
+    batches of lockstep groups through it, paying the per-cycle dispatch
+    cost once per batch instead of once per group; its cycle counts are
+    bit-identical to :meth:`HardwareScheduler.walk` (property-tested).
 
-    Two equivalent kernels are kept:
-
-    * :meth:`schedule` — boolean windows, vectorised *per level*: lanes
-      within a hardware level have disjoint option sets (guaranteed by
-      :meth:`~repro.core.interconnect.ConnectivityPattern.level_groups`
-      and asserted at construction), so a whole level's selections are
-      computed from one snapshot with a single gather/argmax/scatter
-      round instead of a per-lane Python walk.
-    * :meth:`schedule_packed` — the same decisions on *bit-packed*
-      windows, one ``uint64`` word per window (available whenever
-      ``staging_depth * lanes <= 64``, i.e. :attr:`packable`).  Bit ``i``
-      of the word is staging position ``(i // lanes, i % lanes)``.  This
-      is the kernel behind the engine's batched fast path: per scheduling
-      cycle it touches 8 bytes per window instead of a 48-byte boolean
-      window, which is what makes whole-layer batches cheap.
+    Packing needs ``staging_depth * lanes <= 64`` (:attr:`packable`),
+    which holds for the paper's 16-lane PE up to a 4-deep staging buffer;
+    wider windows run group by group on :meth:`HardwareScheduler.walk`.
     """
+
+    #: Upper bound on the ``uint64`` words one scheduling bucket may hold
+    #: (~64 MiB).  Units are packed greedily in ascending stream-row order,
+    #: so each bucket mixes similar lengths and padding stays small.
+    BATCH_WORD_BUDGET = 8_000_000
 
     def __init__(self, pattern: Optional[ConnectivityPattern] = None):
         self.pattern = pattern or ConnectivityPattern()
         groups = self.pattern.level_groups()
         if not self.pattern.validate_level_groups(groups):  # pragma: no cover
             raise AssertionError("level groups overlap; scheduler invariant broken")
-        self._lane_order = [lane for group in groups for lane in group]
-        # Pre-compute the option coordinates per lane for fast indexing.
-        self._options = [
-            self.pattern.options_for_lane(lane) for lane in range(self.pattern.lanes)
-        ]
+        self._oracle = HardwareScheduler(self.pattern)
         depth, lanes = self.pattern.staging_depth, self.pattern.lanes
-        width = depth * lanes
-        # -- level tables for the boolean kernel -------------------------
-        # Flat (step * lanes + lane) option indices per level, padded with
-        # a sentinel column that is always False, so one gather/argmax
-        # serves every lane of the level at once.
-        self._sentinel = width
-        self._level_tables = []
-        for group in groups:
-            max_opts = max(len(self._options[lane]) for lane in group)
-            table = np.full((len(group), max_opts), self._sentinel, dtype=np.int64)
-            for i, lane in enumerate(group):
-                for rank, (step, src) in enumerate(self._options[lane]):
-                    table[i, rank] = step * lanes + src
-            self._level_tables.append((table, np.arange(len(group))))
-        # -- masks for the bit-packed kernel ------------------------------
         #: Whether a whole staging window fits one uint64 word.
-        self.packable = width <= 64
+        self.packable = depth * lanes <= 64
         if self.packable:
             one = np.uint64(1)
             self._packed_opts = [
-                [one << np.uint64(step * lanes + src) for step, src in self._options[lane]]
+                [
+                    one << np.uint64(step * lanes + src)
+                    for step, src in self.pattern.options_for_lane(lane)
+                ]
                 for lane in range(lanes)
             ]
             self._packed_levels = groups
@@ -297,69 +310,6 @@ class BatchScheduler:
                 np.uint64(((1 << lanes) - 1) << (lanes * row)) for row in range(depth)
             ]
 
-    def schedule(
-        self, effectual: np.ndarray, advance_limit: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Schedule a batch of windows.
-
-        Parameters
-        ----------
-        effectual:
-            Boolean array of shape ``(batch, depth, lanes)`` of pending
-            effectual pairs.
-        advance_limit:
-            Maximum rows the staging buffers can refill this cycle (the
-            scratchpad banking limit the memory hierarchy imposes);
-            ``None`` means unlimited.  Identical to the
-            :class:`HardwareScheduler` clamp, so the two implementations
-            stay bit-identical under any limit.
-
-        Returns
-        -------
-        (claimed, advance, busy):
-            ``claimed`` is a boolean array of the same shape marking the
-            pairs consumed this cycle; ``advance`` is the per-window AS
-            count; ``busy`` is the per-window number of busy lanes.
-        """
-        batch, depth, lanes = effectual.shape
-        if depth != self.pattern.staging_depth or lanes != self.pattern.lanes:
-            raise ValueError(
-                f"expected windows of shape (*, {self.pattern.staging_depth}, "
-                f"{self.pattern.lanes}), got {effectual.shape}"
-            )
-        # Flat windows with one sentinel column (always False) appended, so
-        # idle lanes can "claim" the sentinel unconditionally and the
-        # scatter needs no masking.
-        width = depth * lanes
-        flat = np.zeros((batch, width + 1), dtype=bool)
-        flat[:, :width] = effectual.reshape(batch, width)
-        claimed_flat = np.zeros_like(flat)
-        busy = np.zeros(batch, dtype=np.int64)
-        batch_index = np.arange(batch)
-
-        for table, lane_range in self._level_tables:
-            gathered = flat[:, table]              # (batch, level_lanes, opts)
-            available = gathered.any(axis=2)       # (batch, level_lanes)
-            first = gathered.argmax(axis=2)        # first True == priority pick
-            columns = table[lane_range[None, :], first]
-            columns = np.where(available, columns, self._sentinel)
-            flat[batch_index[:, None], columns] = False
-            claimed_flat[batch_index[:, None], columns] = True
-            busy += available.sum(axis=1)
-
-        claimed = claimed_flat[:, :width].reshape(batch, depth, lanes)
-        remaining = flat[:, :width].reshape(batch, depth, lanes)
-        # AS: leading fully-drained rows, at least 1.
-        row_clear = ~remaining.any(axis=2)          # (batch, depth)
-        advance = np.cumprod(row_clear, axis=1).sum(axis=1)
-        advance = np.maximum(advance, 1)
-        if advance_limit is not None:
-            if advance_limit < 1:
-                raise ValueError(f"advance_limit must be >= 1, got {advance_limit}")
-            advance = np.minimum(advance, advance_limit)
-        return claimed, advance.astype(np.int64), busy
-
-    # -- bit-packed kernel ---------------------------------------------------
     def schedule_packed(
         self, windows: np.ndarray, advance_limit: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,8 +318,10 @@ class BatchScheduler:
         Bit ``step * lanes + lane`` of a window word marks a pending
         effectual pair at staging position ``(step, lane)``.  Returns
         ``(claimed, advance, busy)`` where ``claimed`` is a word per
-        window holding the consumed bits — decisions are bit-identical to
-        :meth:`schedule` on the unpacked windows (property-tested).
+        window holding the consumed bits, ``advance`` the AS count and
+        ``busy`` the busy lanes — bit-identical to
+        :meth:`HardwareScheduler.schedule_step` on each unpacked window
+        (property-tested).
 
         Only available when :attr:`packable` (``depth * lanes <= 64``).
         """
@@ -408,14 +360,163 @@ class BatchScheduler:
             advance = np.minimum(advance, advance_limit)
         return claimed, advance, busy
 
+    # -- lockstep groups -----------------------------------------------------
+    def group_rows(self, units: Sequence[np.ndarray]) -> np.ndarray:
+        """Validate a ragged batch and return each group's stream rows.
+
+        ``units`` are boolean arrays of shape ``(num_groups, tile_rows,
+        stream_rows, lanes)``; every unit must match the pattern's lanes,
+        and every unit with groups must share ``tile_rows``.  The result
+        holds each unit's ``stream_rows`` once per group, in input order —
+        also the dense baseline's cycles per group.
+        """
+        lanes = self.pattern.lanes
+        tile_rows = set()
+        for groups in units:
+            if groups.ndim != 4:
+                raise ValueError(
+                    "groups must be 4D (groups, tile_rows, stream_rows, lanes), "
+                    f"got {groups.shape}"
+                )
+            if groups.shape[3] != lanes:
+                raise ValueError(
+                    f"groups have {groups.shape[3]} lanes, scheduler expects {lanes}"
+                )
+            if groups.shape[0]:
+                tile_rows.add(groups.shape[1])
+        if len(tile_rows) > 1:
+            raise ValueError(f"units mix tile_rows values: {sorted(tile_rows)}")
+        return np.repeat(
+            [groups.shape[2] for groups in units],
+            [groups.shape[0] for groups in units],
+        ).astype(np.int64)
+
+    def tile_cycles(
+        self, units: Sequence[np.ndarray], advance_limit: Optional[int] = None
+    ) -> np.ndarray:
+        """Cycles per lockstep group for a ragged batch of work units.
+
+        Parameters
+        ----------
+        units:
+            Boolean arrays of shape ``(num_groups, tile_rows, stream_rows,
+            lanes)`` of effectual positions (see :meth:`group_rows`).  The
+            rows of a group advance in lockstep; groups are independent,
+            so units of different ``stream_rows`` — different operations
+            and different layers — are scheduled together.
+        advance_limit:
+            Per-cycle staging refill limit (``None`` = unlimited).
+
+        Returns
+        -------
+        numpy.ndarray
+            Per-group cycle counts, every unit's groups in input order,
+            bit-identical to counting :meth:`HardwareScheduler.walk`'s
+            cycles group by group.
+
+        Units are sorted by stream-row count and merged into buckets of at
+        most :data:`BATCH_WORD_BUDGET` packed words *after padding*, with
+        padding capped at half a bucket — this bounds peak memory and keeps
+        the first-touch cost of fresh allocations proportional to the
+        useful data.
+        """
+        rows = self.group_rows(units)
+        cycles = np.zeros(rows.shape[0], dtype=np.int64)
+        starts = np.cumsum([0] + [groups.shape[0] for groups in units])
+        live = [i for i, groups in enumerate(units) if groups.shape[0] and groups.shape[2]]
+        if not self.packable:
+            for i in live:
+                for index, group in enumerate(units[i], start=starts[i]):
+                    cycles[index] = sum(1 for _ in self._oracle.walk(group, advance_limit))
+            return cycles
+
+        depth = self.pattern.staging_depth
+        buckets: List[List[int]] = []
+        bucket_streams = bucket_words = 0
+        for i in sorted(live, key=lambda i: units[i].shape[2]):
+            num_groups, tile_rows, stream_rows, _ = units[i].shape
+            streams = num_groups * tile_rows
+            words = streams * (stream_rows + depth)
+            # Ascending sort makes this unit's stream_rows the bucket
+            # maximum, so this is the exact post-padding allocation size.
+            padded = (bucket_streams + streams) * (stream_rows + depth)
+            if (
+                not buckets
+                or padded > self.BATCH_WORD_BUDGET
+                or padded > 2 * (bucket_words + words)
+            ):
+                buckets.append([])
+                bucket_streams = bucket_words = 0
+            buckets[-1].append(i)
+            bucket_streams += streams
+            bucket_words += words
+        for bucket in buckets:
+            index = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in bucket])
+            cycles[index] = self._packed_cycles(
+                [units[i] for i in bucket], rows[index], advance_limit
+            )
+        return cycles
+
+    def _packed_cycles(
+        self,
+        units: Sequence[np.ndarray],
+        rows: np.ndarray,
+        advance_limit: Optional[int],
+    ) -> np.ndarray:
+        """The ragged lockstep loop over one bucket of non-empty units.
+
+        ``rows`` holds each group's stream rows, as :meth:`group_rows`
+        returns them for ``units``.
+        """
+        depth, lanes = self.pattern.staging_depth, self.pattern.lanes
+        tile_rows = units[0].shape[1]
+        width = int(rows.max()) + depth
+        # Word [s, r] is the lane bitmask of stream s's dense row r; the
+        # streams of a group are contiguous and rows past its end are zero.
+        packed = np.zeros((rows.shape[0] * tile_rows, width), dtype=np.uint64)
+        offset = 0
+        for groups in units:
+            num_groups, _, stream_rows, _ = groups.shape
+            streams = num_groups * tile_rows
+            packed[offset : offset + streams, :stream_rows] = pack_stream_rows(
+                groups.reshape(streams, stream_rows, lanes)
+            )
+            offset += streams
+
+        flat = packed.reshape(-1)
+        lane_mask = np.uint64((1 << lanes) - 1)
+        shifts = [np.uint64(lanes * k) for k in range(depth)]
+        tile_offsets = np.arange(tile_rows, dtype=np.int64) * width
+        cycles = np.zeros(rows.shape[0], dtype=np.int64)
+        position = np.zeros(rows.shape[0], dtype=np.int64)
+        active_idx = np.arange(rows.shape[0])
+        while active_idx.size:
+            base = (
+                active_idx[:, None] * (tile_rows * width)
+                + tile_offsets[None, :]
+                + position[active_idx, None]
+            ).reshape(-1)
+            windows = flat[base]
+            for k in range(1, depth):
+                windows = windows | (flat[base + k] << shifts[k])
+            claimed, advance, _ = self.schedule_packed(windows, advance_limit)
+            flat[base] &= ~(claimed & lane_mask)
+            for k in range(1, depth):
+                flat[base + k] &= ~((claimed >> shifts[k]) & lane_mask)
+            group_advance = advance.reshape(-1, tile_rows).min(axis=1)
+            position[active_idx] += np.minimum(
+                group_advance, rows[active_idx] - position[active_idx]
+            )
+            cycles[active_idx] += 1
+            active_idx = active_idx[position[active_idx] < rows[active_idx]]
+        return cycles
+
     def stream_cycles(
         self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
     ) -> int:
-        """Cycles for a single stream, via the batched kernel (convenience)."""
+        """Cycles for a single ``(rows, lanes)`` stream (convenience)."""
         return int(
-            self.stream_cycles_batch(
-                effectual_rows[None, :, :], advance_limit=advance_limit
-            )[0]
+            self.stream_cycles_batch(effectual_rows[None], advance_limit=advance_limit)[0]
         )
 
     def stream_cycles_batch(
@@ -423,39 +524,8 @@ class BatchScheduler:
     ) -> np.ndarray:
         """Cycles for a batch of equally-long streams processed independently.
 
-        Parameters
-        ----------
-        effectual_rows:
-            Boolean array of shape ``(batch, rows, lanes)``.
-        advance_limit:
-            Per-cycle staging refill limit forwarded to :meth:`schedule`.
-
-        Returns
-        -------
-        numpy.ndarray
-            Per-stream cycle counts.
+        ``effectual_rows`` is a boolean array of shape ``(batch, rows,
+        lanes)``; each stream is a one-row group of :meth:`tile_cycles`.
         """
-        batch, rows, lanes = effectual_rows.shape
-        depth = self.pattern.staging_depth
-        if rows == 0:
-            return np.zeros(batch, dtype=np.int64)
-        # Pad with empty rows so windows never run off the end.
-        padded = np.zeros((batch, rows + depth, lanes), dtype=bool)
-        padded[:, :rows] = effectual_rows
-        position = np.zeros(batch, dtype=np.int64)
-        cycles = np.zeros(batch, dtype=np.int64)
-        active = position < rows
-        row_index = np.arange(depth)
-        while active.any():
-            idx = np.nonzero(active)[0]
-            gather = position[idx, None] + row_index[None, :]
-            windows = padded[idx[:, None, None], gather[:, :, None], np.arange(lanes)[None, None, :]]
-            claimed, advance, _ = self.schedule(windows, advance_limit=advance_limit)
-            # Clear consumed pairs in the padded stream.
-            padded[idx[:, None, None], gather[:, :, None], np.arange(lanes)[None, None, :]] &= ~claimed
-            remaining_rows = rows - position[idx]
-            step_advance = np.minimum(advance, remaining_rows)
-            position[idx] += step_advance
-            cycles[idx] += 1
-            active = position < rows
-        return cycles
+        streams = np.asarray(effectual_rows, dtype=bool)
+        return self.tile_cycles([streams[:, None]], advance_limit=advance_limit)

@@ -17,7 +17,7 @@ is the effect Figs. 17 and 18 quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class TensorDashTile:
             path instead, which is cross-checked against this loop.
         """
         lanes = self.pe_config.lanes
-        depth = self.pe_config.staging_depth
         a = _stack_streams(a_streams, lanes)
         b = _stack_streams(b_streams, lanes)
         if a.shape[1] != b.shape[1]:
@@ -133,42 +132,24 @@ class TensorDashTile:
         rows_len = a.shape[1]
 
         outputs = np.zeros((num_rows, num_columns), dtype=np.float64)
-        if rows_len == 0:
-            return TileResult(0, outputs, 0, 0, 0)
-
-        pending = b != 0                     # (rows, rows_len, lanes)
-        position = 0
         cycles = 0
         stall_cycles = 0
         effectual_macs = 0
-
-        while position < rows_len:
-            advances: List[int] = []
-            any_idle_row = False
-            for row in range(num_rows):
-                window = np.zeros((depth, lanes), dtype=bool)
-                visible = min(depth, rows_len - position)
-                window[:visible] = pending[row, position : position + visible]
-                schedule = self.scheduler.schedule_step(window)
-                if schedule.busy_lanes == 0:
-                    any_idle_row = True
+        for position, schedules, _ in self.scheduler.walk(b != 0):
+            cycles += 1
+            advances = {min(s.advance, rows_len - position) for s in schedules}
+            if len(advances) > 1 or any(s.busy_lanes == 0 for s in schedules):
+                stall_cycles += 1
+            for row, schedule in enumerate(schedules):
+                effectual_macs += schedule.busy_lanes * num_columns
+                if not compute_outputs:
+                    continue
                 for selection in schedule.selections:
                     if selection is None:
                         continue
                     step, lane = selection
                     stream_row = position + step
-                    pending[row, stream_row, lane] = False
-                    effectual_macs += num_columns
-                    if compute_outputs:
-                        outputs[row] += (
-                            a[:, stream_row, lane] * b[row, stream_row, lane]
-                        )
-                advances.append(min(schedule.advance, rows_len - position))
-            step_advance = min(advances)
-            if any_idle_row or len(set(advances)) > 1:
-                stall_cycles += 1
-            position += step_advance
-            cycles += 1
+                    outputs[row] += a[:, stream_row, lane] * b[row, stream_row, lane]
 
         total = rows_len * lanes * num_rows * num_columns
         return TileResult(

@@ -7,16 +7,17 @@ produced by :mod:`repro.simulation.streams` — and returns the same
 so all of them are bit-identical by construction (and by test):
 
 ``reference``
-    The readable oracle: a straight Python loop that advances one tile-row
-    group at a time, one cycle at a time, driving one
-    :class:`repro.core.scheduler.HardwareScheduler` step per PE row.  This
-    is the per-PE loop the rest of the codebase is validated against.
+    The readable oracle: walks one tile-row group at a time, one cycle at
+    a time, through :meth:`repro.core.scheduler.HardwareScheduler.walk`,
+    one scheduler step per PE row.  This is the per-PE loop the rest of
+    the codebase is validated against.
 
 ``vectorized``
-    Routes whole batches of staging windows through the numpy
-    :class:`repro.core.scheduler.BatchScheduler` twin — every work group of
-    an operation is scheduled at once, amortising the Python interpreter
-    over the batch dimension.
+    Routes whole batches of bit-packed staging windows through the
+    :class:`repro.core.scheduler.BatchScheduler` kernel — every work group
+    of every operation is scheduled at once, amortising the Python
+    interpreter over the batch dimension.  Windows wider than 64 bits run
+    on the oracle's ``walk`` instead.
 
 The registry is this fixed pair.  Multi-process execution lives one level
 up, in :class:`repro.explore.StudyExecutor`, which fans whole study points
@@ -104,71 +105,28 @@ class ReferenceBackend(SimulationBackend):
             raise ValueError(
                 f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
             )
-        num_groups, tile_rows, stream_rows, lanes = groups.shape
-        baseline_cycles = num_groups * stream_rows
-        macs_total = num_groups * tile_rows * stream_rows * lanes
-        macs_effectual = int(groups.sum())
-        scheduler = HardwareScheduler(accelerator.pattern)
-        depth = accelerator.config.pe.staging_depth
-        tensordash_cycles = 0
-        for group in groups:
-            tensordash_cycles += self._group_cycles(
-                accelerator, scheduler, group, depth, lanes
-            )
-        return OperationResult(
-            name=op_name,
-            baseline_cycles=baseline_cycles,
-            tensordash_cycles=tensordash_cycles,
-            macs_total=macs_total,
-            macs_effectual=macs_effectual,
-        )
-
-    @staticmethod
-    def _group_cycles(
-        accelerator: Accelerator,
-        scheduler: HardwareScheduler,
-        group: np.ndarray,
-        depth: int,
-        lanes: int,
-    ) -> int:
-        """Cycles for one lockstep tile-row group, one scheduler step per row."""
-        tile_rows, stream_rows, _ = group.shape
         if accelerator.config.power_gated:
-            return stream_rows
-        if stream_rows == 0:
-            return 0
-        pending = group.copy()
-        position = 0
-        cycles = 0
-        while position < stream_rows:
-            advances = []
-            for row in range(tile_rows):
-                window = np.zeros((depth, lanes), dtype=bool)
-                visible = min(depth, stream_rows - position)
-                window[:visible] = pending[row, position : position + visible]
-                # The same per-window staging-refill clamp the batched
-                # paths apply, so the oracle stays bit-identical under
-                # finite memory hierarchies too.
-                schedule = scheduler.schedule_step(
-                    window, advance_limit=accelerator.refill_limit
-                )
-                for selection in schedule.selections:
-                    if selection is None:
-                        continue
-                    step, lane = selection
-                    pending[row, position + step, lane] = False
-                advances.append(min(schedule.advance, stream_rows - position))
-            position += min(advances)
-            cycles += 1
-        return cycles
+            cycles = groups.shape[0] * groups.shape[2]
+        else:
+            # One walk per lockstep tile-row group, under the same
+            # per-window staging-refill clamp the batched kernel applies,
+            # so the oracle stays bit-identical under finite memory
+            # hierarchies too.
+            scheduler = HardwareScheduler(accelerator.pattern)
+            cycles = sum(
+                sum(1 for _ in scheduler.walk(group, accelerator.refill_limit))
+                for group in groups
+            )
+        return OperationResult.from_groups(op_name, groups, cycles)
 
 
 class VectorizedBackend(SimulationBackend):
     """Fast path: schedules all of an operation's groups at once via numpy.
 
     Delegates to :meth:`repro.core.accelerator.Accelerator.run_operation_batched`,
-    which drives the :class:`repro.core.scheduler.BatchScheduler` over the
-    whole ``(groups * tile_rows)`` batch of staging windows per cycle.
+    which drives the bit-packed :class:`repro.core.scheduler.BatchScheduler`
+    kernel over the whole ``(groups * tile_rows)`` batch of staging windows
+    per cycle.
     """
 
     name = "vectorized"

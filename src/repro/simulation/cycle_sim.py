@@ -7,10 +7,13 @@ counts and memory traffic for each of the paper's three operations.
 
 Execution is delegated to a pluggable :mod:`repro.engine` backend:
 
-* ``"reference"`` — the readable per-PE-row Python loop (the bit-exact
-  oracle every other backend is property-tested against);
-* ``"vectorized"`` (default) — schedules whole staging-window batches at
-  once through the numpy :class:`~repro.core.scheduler.BatchScheduler`.
+* ``"reference"`` — the readable per-PE-row Python loop,
+  :meth:`~repro.core.scheduler.HardwareScheduler.walk` (the bit-exact
+  oracle the kernel is property-tested against);
+* ``"vectorized"`` (default) — schedules whole batches of bit-packed
+  staging windows at once through the
+  :class:`~repro.core.scheduler.BatchScheduler` kernel (windows wider
+  than 64 bits run on ``walk``).
 
 Both backends produce bit-identical cycle counts, MAC counts and traffic,
 so backend choice is purely a wall-clock decision.  For cross-run reuse,

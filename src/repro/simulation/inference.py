@@ -101,14 +101,21 @@ class FullyConnectedInference:
         dynamic_cycles = 0
         dense_values = 0
         scheduled_values = 0
+        effectual = []
         for filter_index in range(filters):
             stream = self._weight_stream(weights, filter_index)
             baseline_cycles += stream.shape[0]
             scheduled = self.pre_scheduler.compress(stream)
             prescheduled_cycles += scheduled.scheduled_row_count
-            dynamic_cycles += int(self.batch_scheduler.stream_cycles(stream != 0))
+            effectual.append(stream != 0)
             dense_values += stream.size
             scheduled_values += scheduled.footprint_values()
+        if effectual:
+            # Every filter's stream has the same length, so the kernel
+            # schedules them all as one batch.
+            dynamic_cycles = int(
+                self.batch_scheduler.stream_cycles_batch(np.stack(effectual)).sum()
+            )
         return InferenceLayerReport(
             baseline_cycles=baseline_cycles,
             weight_prescheduled_cycles=prescheduled_cycles,

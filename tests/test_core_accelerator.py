@@ -1,8 +1,9 @@
-"""Tests for the multi-tile accelerator model and its batched kernels.
+"""Tests for the multi-tile accelerator model and its batched kernel.
 
-The packed and ragged kernels must stay bit-identical to the boolean,
-exactly-sized paths: packed vs boolean scheduling, ragged batches, bucket
-splitting, and the non-packable fallback at lanes=32.
+The packed kernel must stay bit-identical to the readable oracle: packed
+scheduling vs ``HardwareScheduler.schedule_step``, ragged batches vs
+exactly-sized ones, bucket splitting, and wide windows (lanes=32), which
+run on ``HardwareScheduler.walk``.
 """
 
 import numpy as np
@@ -11,14 +12,44 @@ import pytest
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, pack_stream_rows
+from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
 from repro.core.tile import TensorDashTile
+from repro.engine.backend import ReferenceBackend
 from tests.test_engine_backends import random_groups
 
 
 def make_groups(num_groups=6, tile_rows=4, stream_rows=25, lanes=16, sparsity=0.6, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((num_groups, tile_rows, stream_rows, lanes)) > sparsity
+
+
+def pack_windows(windows):
+    """Pack (batch, depth, lanes) boolean windows into one word each."""
+    _, depth, lanes = windows.shape
+    rows = pack_stream_rows(windows)
+    words = rows[:, 0].copy()
+    for step in range(1, depth):
+        words |= rows[:, step] << np.uint64(step * lanes)
+    return words
+
+
+def assert_packed_matches_oracle(pattern, windows, advance_limit=None):
+    """schedule_packed must equal schedule_step on every window."""
+    depth, lanes = pattern.staging_depth, pattern.lanes
+    claimed, advance, busy = BatchScheduler(pattern).schedule_packed(
+        pack_windows(windows), advance_limit=advance_limit
+    )
+    claimed = unpack_claimed(claimed, depth, lanes)
+    oracle = HardwareScheduler(pattern)
+    for index, window in enumerate(windows):
+        schedule = oracle.schedule_step(window, advance_limit=advance_limit)
+        expected = np.zeros((depth, lanes), dtype=bool)
+        for selection in schedule.selections:
+            if selection is not None:
+                expected[selection] = True
+        assert np.array_equal(claimed[index], expected)
+        assert advance[index] == schedule.advance
+        assert busy[index] == schedule.busy_lanes
 
 
 def unpack_claimed(claimed, depth, lanes):
@@ -139,31 +170,17 @@ class TestConfigPlumbing:
 
 
 class TestPackedScheduler:
-    """schedule_packed must mirror the boolean schedule bit for bit."""
+    """schedule_packed must mirror the oracle's schedule_step bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_packed_matches_boolean_schedule(self, seed):
         rng = np.random.default_rng(seed)
         depth = int(rng.integers(1, 4))
-        lanes = 16
-        scheduler = BatchScheduler(
-            ConnectivityPattern(lanes=lanes, staging_depth=depth)
-        )
-        assert scheduler.packable
-        windows = rng.random((64, depth, lanes)) >= float(rng.random())
+        pattern = ConnectivityPattern(lanes=16, staging_depth=depth)
+        assert BatchScheduler(pattern).packable
+        windows = rng.random((64, depth, 16)) >= float(rng.random())
         limit = int(rng.integers(1, depth + 1)) if rng.random() < 0.5 else None
-
-        claimed, advance, busy = scheduler.schedule(windows, advance_limit=limit)
-        packed_windows = pack_stream_rows(windows)
-        word = packed_windows[:, 0].copy()
-        for step in range(1, depth):
-            word |= packed_windows[:, step] << np.uint64(step * lanes)
-        p_claimed, p_advance, p_busy = scheduler.schedule_packed(
-            word, advance_limit=limit
-        )
-        assert np.array_equal(advance, p_advance)
-        assert np.array_equal(busy, p_busy)
-        assert np.array_equal(claimed, unpack_claimed(p_claimed, depth, lanes))
+        assert_packed_matches_oracle(pattern, windows, advance_limit=limit)
 
     def test_non_packable_config_rejects_packed_path(self):
         scheduler = BatchScheduler(
@@ -197,8 +214,8 @@ class TestRaggedBatchedKernels:
 
     @pytest.mark.parametrize("lanes,depth", [(16, 3), (32, 3)])
     def test_run_operations_batched_matches_per_unit(self, lanes, depth):
-        # lanes=32 exceeds the 64-bit window: exercises the boolean
-        # fallback; lanes=16 exercises the packed merge.
+        # lanes=32 exceeds the 64-bit window and runs on the oracle's
+        # walk; lanes=16 exercises the packed merge.
         rng = np.random.default_rng(lanes)
         config = AcceleratorConfig().with_pe(lanes=lanes, staging_depth=depth)
         acc = Accelerator(config)
@@ -234,10 +251,40 @@ class TestRaggedBatchedKernels:
             for r in rng.integers(1, 40, size=8)
         ]
         expected = [acc.run_operation_batched(n, g) for n, g in units]
-        old_budget = Accelerator.BATCH_WORD_BUDGET
+        old_budget = BatchScheduler.BATCH_WORD_BUDGET
         try:
-            Accelerator.BATCH_WORD_BUDGET = 256  # force many tiny buckets
+            BatchScheduler.BATCH_WORD_BUDGET = 256  # force many tiny buckets
             fused = acc.run_operations_batched(units)
         finally:
-            Accelerator.BATCH_WORD_BUDGET = old_budget
+            BatchScheduler.BATCH_WORD_BUDGET = old_budget
         assert fused == expected
+
+
+class TestInputValidation:
+    """Bad group shapes fail loudly on every path instead of miscounting."""
+
+    @pytest.mark.parametrize("path", [
+        "reference", "tile_cycles_batch", "run_operation_batched",
+        "run_operations_batched", "stream_cycles",
+    ])
+    def test_wrong_lane_count_names_both_counts(self, path):
+        acc = Accelerator()
+        groups = make_groups(num_groups=3, tile_rows=4, stream_rows=5, lanes=8)
+        calls = {
+            "reference": lambda: ReferenceBackend().run_operation(acc, "AxW", groups),
+            "tile_cycles_batch": lambda: acc.tile_cycles_batch(groups),
+            "run_operation_batched": lambda: acc.run_operation_batched("AxW", groups),
+            "run_operations_batched": lambda: acc.run_operations_batched(
+                [("AxW", make_groups(num_groups=1, stream_rows=5)), ("AxG", groups)]
+            ),
+            "stream_cycles": lambda: acc.batch_scheduler.stream_cycles(groups[0, 0]),
+        }
+        with pytest.raises(ValueError, match=r"\b8 lanes.*expects 16"):
+            calls[path]()
+
+    @pytest.mark.parametrize("rows", [[10, 25, 10], [10, 10, 14], [-3, 10, 10]])
+    def test_rows_per_group_outside_stream_rows_is_rejected(self, rows):
+        acc = Accelerator()
+        groups = make_groups(num_groups=3, tile_rows=4, stream_rows=10)
+        with pytest.raises(ValueError, match=r"rows_per_group.*\[0, 10\]"):
+            acc.tile_cycles_batch(groups, rows_per_group=rows)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
+from tests.test_core_accelerator import assert_packed_matches_oracle
 
 
 def window(depth=3, lanes=16, fill=False):
@@ -143,19 +144,8 @@ class TestStreamProcessing:
 class TestBatchScheduler:
     def test_matches_hardware_scheduler_on_random_windows(self):
         rng = np.random.default_rng(42)
-        hardware = HardwareScheduler()
-        batch = BatchScheduler()
         windows = rng.random((64, 3, 16)) > 0.55
-        claimed, advance, busy = batch.schedule(windows)
-        for index in range(64):
-            schedule = hardware.schedule_step(windows[index])
-            expected = np.zeros((3, 16), dtype=bool)
-            for selection in schedule.selections:
-                if selection is not None:
-                    expected[selection] = True
-            assert np.array_equal(claimed[index], expected)
-            assert advance[index] == schedule.advance
-            assert busy[index] == schedule.busy_lanes
+        assert_packed_matches_oracle(ConnectivityPattern(), windows)
 
     def test_stream_cycles_matches_sequential_processing(self):
         rng = np.random.default_rng(9)
@@ -180,5 +170,5 @@ class TestBatchScheduler:
 
     def test_rejects_wrong_window_shape(self):
         batch = BatchScheduler()
-        with pytest.raises(ValueError):
-            batch.schedule(np.zeros((4, 2, 16), dtype=bool))
+        with pytest.raises(ValueError, match="8 lanes, scheduler expects 16"):
+            batch.stream_cycles_batch(np.zeros((4, 2, 8), dtype=bool))

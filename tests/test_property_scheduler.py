@@ -8,7 +8,9 @@ These cover the correctness properties the paper's hardware relies on:
   selection points at a pending effectual pair),
 * the cycle count is bounded below by ``rows / staging_depth`` and above
   by ``rows`` (never slower than the dense baseline),
-* the vectorised batch scheduler is bit-identical to the reference model.
+* the bit-packed batch kernel is bit-identical to the reference model,
+  step by step (``schedule_packed`` vs ``schedule_step``) and cycle for
+  cycle over ragged lockstep batches (``tile_cycles`` vs ``walk``).
 """
 
 import numpy as np
@@ -17,8 +19,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.config import PEConfig
+from repro.core.interconnect import ConnectivityPattern
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
+from tests.test_core_accelerator import assert_packed_matches_oracle
+
+#: A non-paper interconnect: deeper lookahead, asymmetric lookaside.
+CUSTOM_TEMPLATE = ((0, 0), (1, 0), (1, 1), (2, -1), (3, 0), (2, 2), (3, -3))
 
 
 def effectual_windows(depth=3, lanes=16):
@@ -29,6 +36,24 @@ def effectual_streams(max_rows=20, lanes=16):
     return st.integers(min_value=1, max_value=max_rows).flatmap(
         lambda rows: arrays(np.bool_, (rows, lanes), elements=st.booleans())
     )
+
+
+@st.composite
+def ragged_batches(draw):
+    """A pattern, ragged lockstep units for it and a refill limit."""
+    lanes = draw(st.sampled_from([4, 8, 16]))
+    depth = draw(st.integers(min_value=1, max_value=4))
+    template = draw(st.sampled_from([None, CUSTOM_TEMPLATE]))
+    pattern = ConnectivityPattern(lanes=lanes, staging_depth=depth, template=template)
+    tile_rows = draw(st.integers(min_value=1, max_value=4))
+    units = [
+        draw(arrays(np.bool_, (groups, tile_rows, rows, lanes), elements=st.booleans()))
+        for groups, rows in draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
+        ))
+    ]
+    limit = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=depth)))
+    return pattern, units, limit
 
 
 @st.composite
@@ -73,15 +98,7 @@ class TestSchedulerStepProperties:
     @settings(max_examples=200, deadline=None)
     @given(effectual_windows())
     def test_batch_scheduler_is_bit_identical(self, window):
-        hardware = HardwareScheduler().schedule_step(window)
-        claimed, advance, busy = BatchScheduler().schedule(window[None])
-        expected = np.zeros_like(window)
-        for selection in hardware.selections:
-            if selection is not None:
-                expected[selection] = True
-        assert np.array_equal(claimed[0], expected)
-        assert advance[0] == hardware.advance
-        assert busy[0] == hardware.busy_lanes
+        assert_packed_matches_oracle(ConnectivityPattern(), window[None])
 
 
 class TestStreamProperties:
@@ -107,6 +124,23 @@ class TestStreamProperties:
     def test_batch_stream_cycles_match_reference(self, stream):
         reference, _ = HardwareScheduler().process_stream(stream)
         assert BatchScheduler().stream_cycles(stream) == reference
+
+
+class TestLockstepKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_batches())
+    def test_ragged_packed_loop_matches_walk(self, batch):
+        """The packed lockstep loop counts the cycles the oracle walks."""
+        pattern, units, limit = batch
+        kernel = BatchScheduler(pattern)
+        assert kernel.packable
+        oracle = HardwareScheduler(pattern)
+        expected = [
+            sum(1 for _ in oracle.walk(group, advance_limit=limit))
+            for groups in units
+            for group in groups
+        ]
+        assert kernel.tile_cycles(units, advance_limit=limit).tolist() == expected
 
 
 class TestPEProperties:
