@@ -57,7 +57,7 @@ OVERHEAD_GATE = 0.05
 
 def _engine(config: AcceleratorConfig) -> SimulationEngine:
     return SimulationEngine(
-        config, backend="vectorized", max_groups=MAX_GROUPS,
+        config, max_groups=MAX_GROUPS,
         max_batch=TRACE_MAX_BATCH, memory_cache=True,
     )
 

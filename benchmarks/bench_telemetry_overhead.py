@@ -68,7 +68,7 @@ def _identical(lhs, rhs) -> bool:
 def _one_run(layers, max_groups, directory):
     """One engine pass with the global tracer pointed at ``directory``."""
     configure(directory)
-    engine = SimulationEngine(backend="vectorized", max_groups=max_groups)
+    engine = SimulationEngine(max_groups=max_groups)
     began = time.perf_counter()
     results = engine.simulate_layers(layers)
     seconds = time.perf_counter() - began

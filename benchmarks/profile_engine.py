@@ -1,7 +1,7 @@
 """Hotspot profiler for the simulation engine: where do the cycles go?
 
 This is the profile-first companion to the engine optimisation work: it
-runs the vectorized backend over the ResNet-50 trace under ``cProfile``,
+runs the engine over the ResNet-50 trace under ``cProfile``,
 prints the top functions by cumulative and self time, and times each
 layer individually so a regression is attributable to a specific layer
 shape rather than a single opaque scalar.
@@ -27,6 +27,7 @@ from benchmarks.common import get_trace, print_header
 
 from repro.analysis.reporting import format_table
 from repro.engine import SimulationEngine
+from repro.simulation.cycle_sim import traced_layers
 
 WORKLOAD = "resnet50"
 MAX_GROUPS = 512
@@ -54,7 +55,7 @@ def _top_entries(stats: pstats.Stats, sort_key: str, count: int):
 def main() -> int:
     print_header(
         "Engine hotspot profile",
-        "cProfile over the vectorized backend plus a per-layer timing "
+        "cProfile over the engine plus a per-layer timing "
         "breakdown (no paper figure; drives engine optimisation)",
     )
     trace = get_trace(WORKLOAD, epochs=1)
@@ -62,7 +63,7 @@ def main() -> int:
     print(f"Workload: {WORKLOAD}, {len(layers)} traced layers, "
           f"max_groups={MAX_GROUPS}")
 
-    engine = SimulationEngine(backend="vectorized", max_groups=MAX_GROUPS)
+    engine = SimulationEngine(max_groups=MAX_GROUPS)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -85,11 +86,11 @@ def main() -> int:
     ))
 
     # Per-layer attribution: time each layer alone through the same
-    # backend (slightly slower than the fused whole-trace pass because
+    # kernel (slightly slower than the fused whole-trace pass because
     # cross-layer batching cannot help a single layer).
     simulator = engine.simulator
     per_layer = []
-    for layer in layers:
+    for layer in traced_layers(layers):
         start = time.perf_counter()
         result = simulator.simulate_layer(layer)
         seconds = time.perf_counter() - start
@@ -100,7 +101,7 @@ def main() -> int:
         })
     per_layer.sort(key=lambda row: -row["seconds"])
     print(format_table(
-        "per-layer wall clock (vectorized, layer at a time, descending)",
+        "per-layer wall clock (layer at a time, descending)",
         ["layer", "seconds", "tensordash cycles"],
         [[row["layer"], row["seconds"], row["tensordash_cycles"]]
          for row in per_layer],

@@ -60,13 +60,12 @@ def format_table(
 
 
 def format_engine_stats(stats) -> str:
-    """One-line backend + cache summary for an ``EngineStats`` record.
+    """One-line simulation + cache summary for an ``EngineStats`` record.
 
-    Shown after every simulate/sweep run so cache effectiveness (and which
-    execution backend produced the numbers) is visible in the report.
+    Shown after every simulate/sweep run so cache effectiveness is
+    visible in the report.
     """
-    parts = [f"engine: backend={stats.backend}"]
-    parts.append(f"layers simulated={stats.layers_simulated}")
+    parts = [f"engine: layers simulated={stats.layers_simulated}"]
     if stats.cache_dir:
         parts.append(
             f"cache hits={stats.cache_hits} misses={stats.cache_misses} "

@@ -26,7 +26,7 @@ concurrent clients:
   workloads — enough for a load balancer or job supervisor to
   introspect a worker.
 * ``GET /v1/stats`` — session counters: requests served, cached
-  traces/runners, engine backend and cache hit/miss totals.
+  traces/runners, resolved engine options and cache hit/miss totals.
 * ``GET /v1/metrics`` — the process-wide metrics registry
   (:mod:`repro.telemetry.metrics`) in Prometheus text exposition format:
   request-latency histograms, per-tier cache hit counters, layers

@@ -84,15 +84,15 @@ class Session:
 
     Parameters
     ----------
-    backend / cache_dir / telemetry_dir:
-        Engine knobs; ``None`` falls back to the ``REPRO_BACKEND`` /
-        ``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` environment
-        variables, then the defaults.  Point a fleet of serve workers at
-        one ``cache_dir`` and they stop re-simulating what a sibling
-        already finished; ``telemetry_dir`` enables the
-        process-wide span tracer (:mod:`repro.telemetry`) and every
-        ``submit`` then records a ``session.submit`` span tree plus a
-        metrics snapshot to the JSONL event log there.
+    cache_dir / telemetry_dir:
+        Engine knobs; ``None`` falls back to the ``REPRO_CACHE_DIR`` /
+        ``REPRO_TELEMETRY_DIR`` environment variables, then the
+        defaults.  Point a fleet of serve workers at one ``cache_dir``
+        and they stop re-simulating what a sibling already finished;
+        ``telemetry_dir`` enables the process-wide span tracer
+        (:mod:`repro.telemetry`) and every ``submit`` then records a
+        ``session.submit`` span tree plus a metrics snapshot to the
+        JSONL event log there.
     study_jobs:
         Default worker-process count for study execution (``repro
         explore`` / ``repro sweep``); ``None`` falls back to
@@ -115,7 +115,6 @@ class Session:
 
     def __init__(
         self,
-        backend: Optional[str] = None,
         cache_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         study_jobs: Optional[int] = None,
@@ -124,9 +123,8 @@ class Session:
         max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
-            backend=backend, cache_dir=cache_dir,
-            telemetry_dir=telemetry_dir, study_jobs=study_jobs,
-            environ=environ,
+            cache_dir=cache_dir, telemetry_dir=telemetry_dir,
+            study_jobs=study_jobs, environ=environ,
         )
         if self.options.telemetry_dir:
             # Enable (or reuse) the process-wide tracer; sessions built
@@ -134,9 +132,7 @@ class Session:
             configure_telemetry(self.options.telemetry_dir)
         self.seed = 0 if seed is None else int(seed)
         self.engine = SimulationEngine(
-            backend=self.options.backend,
-            cache_dir=self.options.cache_dir,
-            memory_cache=True,
+            cache_dir=self.options.cache_dir, memory_cache=True
         )
         self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
         self._max_cached_traces = max(1, int(max_cached_traces))
@@ -474,7 +470,6 @@ class Session:
         return StudyRunner(
             spec,
             study_dir=study_dir,
-            backend=self.options.backend,
             cache_dir=self.options.cache_dir,
             engine=self.engine,
             study_jobs=study_jobs,

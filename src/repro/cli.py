@@ -91,13 +91,11 @@ spans in an append-only JSONL log under DIR, ready for ``repro trace``.
 Disabled (the default), telemetry costs nothing and outputs are
 bit-identical.
 
-Every simulating subcommand executes through the pluggable simulation
-engine (:mod:`repro.engine`): ``--backend`` selects the execution strategy
-(``reference`` oracle loop or numpy ``vectorized`` fast path), both
-bit-identical; ``--cache-dir`` enables the on-disk result cache so
-repeated runs, sweeps and resumed studies skip already-simulated layers.
-Unset flags fall back to the ``REPRO_BACKEND`` / ``REPRO_CACHE_DIR``
-environment variables (one shared resolution helper,
+Every simulating subcommand executes through the simulation engine
+(:mod:`repro.engine`): ``--cache-dir`` enables the on-disk result cache
+so repeated runs, sweeps and resumed studies skip already-simulated
+layers.  An unset flag falls back to the ``REPRO_CACHE_DIR`` environment
+variable (one shared resolution helper,
 :func:`repro.engine.resolve_engine_options`).  Cache entries are
 content-addressed by (accelerator-config hash, layer-trace hash):
 changing any configuration knob or the traced operands (e.g. via
@@ -142,7 +140,6 @@ from typing import List, Optional, Tuple
 
 from repro._version import __version__
 from repro.analysis.reporting import format_engine_stats, format_table
-from repro.engine import available_backends
 from repro.explore.spec import KNOBS, SCALE_KNOBS
 from repro.models.registry import MODEL_REGISTRY, available_models
 
@@ -151,12 +148,6 @@ def _add_engine_arguments(
     command: argparse.ArgumentParser, seed_default: Optional[int] = 0
 ) -> None:
     """Engine flags shared by every simulating subcommand."""
-    command.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="execution strategy: 'reference' is the readable bit-exact "
-             "oracle, 'vectorized' batches all work groups through numpy; "
-             "both produce identical results "
-             "(default: $REPRO_BACKEND, else vectorized)")
     command.add_argument(
         "--cache-dir", default=None,
         help="directory for the on-disk result cache; layers already "
@@ -489,7 +480,6 @@ def _session_for(args: argparse.Namespace):
     from repro.api.session import Session
 
     return Session(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         telemetry_dir=getattr(args, "telemetry_dir", None),
         study_jobs=getattr(args, "study_jobs", None),

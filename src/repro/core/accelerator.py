@@ -16,9 +16,9 @@ scheduler decisions only depend on the operand zero patterns.
 
 :meth:`Accelerator.tile_cycles_batch` schedules many lockstep groups at
 once and :meth:`Accelerator.run_operations_batched` fuses whole
-operations into shared ragged batches — the ``vectorized`` engine
-backend's kernel.  The readable oracle it is checked against is
-:class:`repro.engine.backend.ReferenceBackend`.
+operations into shared ragged batches — the kernel every engine run
+goes through.  The readable oracle it is checked against sits beside it:
+:meth:`Accelerator.run_operation_reference`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import AcceleratorConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler
+from repro.core.scheduler import BatchScheduler, HardwareScheduler
 
 
 @dataclass
@@ -212,10 +212,34 @@ class Accelerator:
         return self.batch_scheduler.tile_cycles(units, advance_limit=self.refill_limit)
 
     # ------------------------------------------------------------------
+    def run_operation_reference(self, name: str, groups: np.ndarray) -> OperationResult:
+        """The readable oracle the batched kernel is checked against.
+
+        Walks one lockstep tile-row group at a time, one cycle at a time,
+        through :meth:`repro.core.scheduler.HardwareScheduler.walk`, under
+        the same per-window staging-refill clamp the kernel applies, so it
+        stays bit-identical under finite memory hierarchies too.
+        Deliberately unoptimised: only tests and the engine
+        microbenchmark call it.
+        """
+        groups = np.asarray(groups, dtype=bool)
+        if groups.ndim != 4:
+            raise ValueError(
+                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
+            )
+        if self.config.power_gated:
+            cycles = groups.shape[0] * groups.shape[2]
+        else:
+            scheduler = HardwareScheduler(self.pattern)
+            cycles = sum(
+                sum(1 for _ in scheduler.walk(group, self.refill_limit))
+                for group in groups
+            )
+        return OperationResult.from_groups(name, groups, cycles)
+
     def run_operation_batched(self, name: str, groups: np.ndarray) -> OperationResult:
         """Batched execution: schedule every group's windows at once.
 
-        This is the kernel behind the engine's ``vectorized`` backend;
         ``groups`` must be a boolean 4D array of shape ``(num_groups,
         tile_rows, stream_rows, lanes)``.
         """

@@ -17,7 +17,8 @@ One readable oracle and one fast kernel are provided:
 * :class:`HardwareScheduler` — a direct model of a single scheduling step
   (:meth:`~HardwareScheduler.schedule_step`) plus the one loop that steps
   it through a stream (:meth:`~HardwareScheduler.walk`).  The PE, tile,
-  pre-scheduler and reference-backend models are all built on ``walk``.
+  pre-scheduler and the accelerator's reference oracle are all built on
+  ``walk``.
 * :class:`BatchScheduler` — the bit-packed numpy kernel: one ``uint64``
   word per staging window, stepped for many independent lockstep groups
   at once, which keeps full-model experiments tractable.  Windows wider

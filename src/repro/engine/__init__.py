@@ -1,33 +1,23 @@
-"""Pluggable simulation engine: backends, result cache, option resolution.
+"""The simulation engine: result cache, counters, option resolution.
 
 This package is the execution layer between the accelerator model
 (:mod:`repro.core`) and everything that drives whole-model experiments
-(:mod:`repro.simulation.runner`, the CLI, the benchmark harness).  It
-separates *what* is simulated (the bit-exact hierarchical-scheduler
-semantics) from *how* it is executed:
+(:mod:`repro.simulation.runner`, the CLI, the benchmark harness):
 
-* :mod:`repro.engine.backend` — the :class:`SimulationBackend` protocol,
-  the ``reference`` oracle and the numpy ``vectorized`` fast path;
 * :mod:`repro.engine.cache` — the content-addressed on-disk result cache;
-* :mod:`repro.engine.engine` — :class:`SimulationEngine`, which composes a
-  backend with the cache stack (disk and/or in-process memo) and tracks
-  :class:`EngineStats`;
+* :mod:`repro.engine.engine` — :class:`SimulationEngine`, which puts the
+  cache stack (disk and/or in-process memo) in front of
+  :meth:`repro.simulation.cycle_sim.LayerSimulator.simulate_layers` and
+  tracks :class:`EngineStats`;
 * :mod:`repro.engine.options` — :func:`resolve_engine_options`, the single
-  place the backend/cache-dir precedence (argument > ``REPRO_*`` env
-  var > default) is decided for every entry point.
+  place the cache-dir/telemetry/study-jobs precedence (argument >
+  ``REPRO_*`` env var > default) is decided for every entry point.
 
 Multi-process execution is not an engine concern: the only parallelism
 layer is :class:`repro.explore.StudyExecutor`, whose workers each own an
 engine.
 """
 
-from repro.engine.backend import (
-    ReferenceBackend,
-    SimulationBackend,
-    VectorizedBackend,
-    available_backends,
-    get_backend,
-)
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
@@ -36,18 +26,9 @@ from repro.engine.cache import (
     trace_fingerprint,
 )
 from repro.engine.engine import EngineStats, SimulationEngine
-from repro.engine.options import (
-    DEFAULT_BACKEND,
-    EngineOptions,
-    resolve_engine_options,
-)
+from repro.engine.options import EngineOptions, resolve_engine_options
 
 __all__ = [
-    "SimulationBackend",
-    "ReferenceBackend",
-    "VectorizedBackend",
-    "available_backends",
-    "get_backend",
     "ResultCache",
     "CACHE_SCHEMA_VERSION",
     "config_fingerprint",
@@ -55,7 +36,6 @@ __all__ = [
     "layer_key",
     "EngineStats",
     "SimulationEngine",
-    "DEFAULT_BACKEND",
     "EngineOptions",
     "resolve_engine_options",
 ]

@@ -12,10 +12,6 @@ runs free.  Entries are keyed by a SHA-256 over two fingerprints:
 * the **trace fingerprint** — the layer's hyper-parameters and the raw
   bytes of its boolean operand masks.
 
-The backend is deliberately not part of the key: backends are
-bit-identical (property-tested), so a result simulated by one serves
-every other.
-
 Invalidation is purely structural: change any input and the key changes,
 so a stale entry can never be returned — it is simply never looked up
 again.  Old entries are inert files; delete the cache directory (or any
@@ -25,11 +21,11 @@ format changes are rolled out.
 
 Values are stored as small JSON documents (one file per layer, sharded by
 key prefix to keep directories shallow), so caches are portable and
-inspectable with standard tools.  Corrupt or truncated files are treated
-as misses.  Every store is an atomic ``os.replace`` of a content-addressed,
-idempotent value, so any number of processes may share one cache
-directory: concurrent writers of a key write the same bytes, and a reader
-sees either no file or a whole one.
+inspectable with standard tools.  Corrupt or truncated files, and valid
+JSON of the wrong shape, are treated as misses.  Every store is an atomic
+``os.replace`` of a content-addressed, idempotent value, so any number of
+processes may share one cache directory: concurrent writers of a key
+write the same bytes, and a reader sees either no file or a whole one.
 """
 
 from __future__ import annotations
@@ -125,12 +121,14 @@ def _result_to_payload(result) -> dict:
     }
 
 
-def _payload_to_result(payload: dict):
+def _payload_to_result(payload):
     from repro.core.accelerator import OperationResult
     from repro.memory.traffic import MemoryTraffic
     from repro.simulation.cycle_sim import LayerResult
 
-    if payload.get("version") != CACHE_SCHEMA_VERSION:
+    if not isinstance(payload, dict) or payload.get("version") != CACHE_SCHEMA_VERSION:
+        return None
+    if not all(isinstance(payload.get(part), dict) for part in ("operations", "traffic")):
         return None
     result = LayerResult(layer_name=payload["layer_name"])
     for name, op in payload["operations"].items():
@@ -159,7 +157,8 @@ class ResultCache:
     def load(self, key: str):
         """The cached :class:`LayerResult` for ``key``, or ``None`` on miss.
 
-        Unreadable or schema-mismatched files are misses, never errors.
+        Unreadable, schema-mismatched or wrongly shaped files are
+        misses, never errors.
         """
         path = self.path_for(key)
         try:

@@ -1,9 +1,8 @@
 """Engine option resolution: one precedence rule for every entry point.
 
-Four knobs steer the simulation engine everywhere — CLI flags, the
+Three knobs steer the simulation engine everywhere — CLI flags, the
 programmatic :class:`repro.api.Session`, the benchmark harness:
 
-* **backend** — ``reference`` / ``vectorized``;
 * **cache_dir** — on-disk result-cache directory (several processes may
   share one);
 * **telemetry_dir** — span/metrics event-log directory
@@ -12,12 +11,12 @@ programmatic :class:`repro.api.Session`, the benchmark harness:
   point groups across (:class:`repro.explore.StudyExecutor`).
 
 :func:`resolve_engine_options` is the single place their precedence is
-decided: an explicit argument wins, then the ``REPRO_BACKEND`` /
-``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` / ``REPRO_STUDY_JOBS``
-environment variables, then the defaults (``vectorized``, no disk cache,
-telemetry disabled, serial studies).  Every caller goes through this
-helper, so setting ``REPRO_BACKEND=reference`` steers the CLI, a
-long-lived API session and a benchmark run identically.
+decided: an explicit argument wins, then the ``REPRO_CACHE_DIR`` /
+``REPRO_TELEMETRY_DIR`` / ``REPRO_STUDY_JOBS`` environment variables,
+then the defaults (no disk cache, telemetry disabled, serial studies).
+Every caller goes through this helper, so setting
+``REPRO_CACHE_DIR`` steers the CLI, a long-lived API session and a
+benchmark run identically.
 """
 
 from __future__ import annotations
@@ -26,15 +25,11 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-#: The default execution backend when neither argument nor env var is set.
-DEFAULT_BACKEND = "vectorized"
-
 
 @dataclass(frozen=True)
 class EngineOptions:
     """Fully resolved engine configuration (what the engine is built from)."""
 
-    backend: str = DEFAULT_BACKEND
     cache_dir: Optional[str] = None
     telemetry_dir: Optional[str] = None
     #: Worker processes for study execution; ``None`` means serial (1).
@@ -43,7 +38,6 @@ class EngineOptions:
     def as_dict(self) -> dict:
         """JSON-friendly view for health/stats payloads."""
         return {
-            "backend": self.backend,
             "cache_dir": self.cache_dir,
             "telemetry_dir": self.telemetry_dir,
             "study_jobs": self.study_jobs,
@@ -51,7 +45,6 @@ class EngineOptions:
 
 
 def resolve_engine_options(
-    backend: Optional[str] = None,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     telemetry_dir: Optional[Union[str, os.PathLike]] = None,
     study_jobs: Optional[int] = None,
@@ -64,15 +57,6 @@ def resolve_engine_options(
     error naming the offending source.
     """
     env = os.environ if environ is None else environ
-
-    if backend is None:
-        backend = env.get("REPRO_BACKEND") or DEFAULT_BACKEND
-    from repro.engine.backend import available_backends
-
-    if backend not in available_backends():
-        raise ValueError(
-            f"unknown backend {backend!r}; available: {available_backends()}"
-        )
 
     if study_jobs is None:
         raw = env.get("REPRO_STUDY_JOBS")
@@ -91,7 +75,6 @@ def resolve_engine_options(
     if telemetry_dir is None:
         telemetry_dir = env.get("REPRO_TELEMETRY_DIR") or None
     return EngineOptions(
-        backend=backend,
         cache_dir=str(cache_dir) if cache_dir else None,
         telemetry_dir=str(telemetry_dir) if telemetry_dir else None,
         study_jobs=study_jobs,

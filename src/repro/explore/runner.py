@@ -7,7 +7,7 @@ and dispatches every design point through the same
 uses — including the content-addressed result cache, so warm points cost
 zero re-simulation.  Points sharing an accelerator configuration are
 batched into one engine pass (:meth:`ExperimentRunner.run_batch`), which
-lets the vectorized backend fuse every workload's work groups.
+lets the scheduling kernel fuse every workload's work groups.
 
 Studies are resumable: with a ``study_dir`` the runner appends one
 fsync'd JSONL record per completed point to a manifest *segment*
@@ -139,13 +139,14 @@ class StudyRunner:
         Directory for the study manifest and (by default) the engine's
         result cache.  ``None`` runs fully in memory with no
         checkpointing — fine for small sweeps, required for ``resume``.
-    backend / cache_dir:
-        Engine flags, identical to every other entry point.  With a
+    cache_dir:
+        Engine flag, identical to every other entry point.  With a
         ``study_dir`` and no explicit ``cache_dir`` the cache lands in
         ``<study_dir>/cache`` so resumed studies get layer-level hits.
     engine:
         An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (backend/cache args then only label reports).
+        point through (``cache_dir`` then only labels reports and
+        worker engines).
         This is how :class:`repro.api.Session` makes studies share its
         warm cache.
     study_jobs:
@@ -163,7 +164,6 @@ class StudyRunner:
         self,
         spec: StudySpec,
         study_dir: Optional[Union[str, Path]] = None,
-        backend: str = "vectorized",
         cache_dir: Optional[Union[str, Path]] = None,
         engine=None,
         study_jobs: Optional[int] = None,
@@ -173,7 +173,6 @@ class StudyRunner:
             raise ValueError(f"study_jobs must be >= 1, got {study_jobs}")
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
-        self.backend = backend
         self.engine = engine
         self.study_jobs = study_jobs or 1
         self._trace_fn = trace_fn
@@ -393,7 +392,6 @@ class StudyRunner:
                 config,
                 max_groups=self.spec.max_groups,
                 max_batch=self._max_batch(),
-                backend=self.backend,
                 cache_dir=self.cache_dir,
                 engine=self.engine,
             )
@@ -663,16 +661,13 @@ class StudyRunner:
         parallel totals match what one engine doing all the work would
         have counted.
         """
-        totals = EngineStats(backend=self.backend, cache_dir=self.cache_dir)
+        totals = EngineStats(cache_dir=self.cache_dir)
         seen = set()
         for runner in self._runners.values():
             if id(runner.engine) in seen:
                 continue
             seen.add(id(runner.engine))
-            stats = runner.engine_stats
-            totals.layers_simulated += stats.layers_simulated
-            totals.cache_hits += stats.cache_hits
-            totals.cache_misses += stats.cache_misses
+            totals.absorb(runner.engine_stats)
         for delta in self._worker_stats:
             totals.absorb(delta)
         return totals
@@ -682,7 +677,6 @@ def run_study(
     spec: StudySpec,
     study_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    backend: str = "vectorized",
     cache_dir: Optional[Union[str, Path]] = None,
     study_jobs: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -691,7 +685,6 @@ def run_study(
     runner = StudyRunner(
         spec,
         study_dir=study_dir,
-        backend=backend,
         cache_dir=cache_dir,
         study_jobs=study_jobs,
     )

@@ -5,25 +5,23 @@ plus convolution hyper-parameters) into operand streams, runs them through
 the accelerator model and returns baseline / TensorDash cycle counts, MAC
 counts and memory traffic for each of the paper's three operations.
 
-Execution is delegated to a pluggable :mod:`repro.engine` backend:
+Every traced layer reaches the scheduler through one call chain:
+:meth:`LayerSimulator.simulate_layers` extracts each layer's operand
+streams, hands the work groups of *all* layers and operations to one
+:meth:`~repro.core.accelerator.Accelerator.run_operations_batched` call
+(the bit-packed :class:`~repro.core.scheduler.BatchScheduler` kernel;
+windows wider than 64 bits run on
+:meth:`~repro.core.scheduler.HardwareScheduler.walk`), then finalizes
+each layer.  The kernel is property-tested against the readable oracle
+:meth:`~repro.core.accelerator.Accelerator.run_operation_reference`.
+For cross-run reuse, wrap the simulator in a
+:class:`repro.engine.SimulationEngine` with a ``cache_dir`` — results
+are then cached on disk keyed by (config hash, trace hash) and
+invalidated structurally whenever either input changes (the
+memory-hierarchy parameters are part of the config hash, so differing
+hierarchies can never collide in the cache).
 
-* ``"reference"`` — the readable per-PE-row Python loop,
-  :meth:`~repro.core.scheduler.HardwareScheduler.walk` (the bit-exact
-  oracle the kernel is property-tested against);
-* ``"vectorized"`` (default) — schedules whole batches of bit-packed
-  staging windows at once through the
-  :class:`~repro.core.scheduler.BatchScheduler` kernel (windows wider
-  than 64 bits run on ``walk``).
-
-Both backends produce bit-identical cycle counts, MAC counts and traffic,
-so backend choice is purely a wall-clock decision.  For cross-run reuse,
-wrap the simulator in a :class:`repro.engine.SimulationEngine` with a
-``cache_dir`` — results are then cached on disk keyed by (config hash,
-trace hash) and invalidated structurally whenever either input
-changes (the memory-hierarchy parameters are part of the config
-hash, so differing hierarchies can never collide in the cache).
-
-Memory awareness: after a backend returns an operation's compute cycles,
+Memory awareness: after the kernel returns an operation's compute cycles,
 the simulator consults ``config.hierarchy``
 (:class:`repro.memory.hierarchy.MemoryHierarchy`) with the operation's
 byte counts and records the bandwidth-constrained totals —
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +109,16 @@ class LayerResult:
         return total
 
 
+def traced_layers(traces: Sequence[LayerTrace]) -> List[LayerTrace]:
+    """The subset of ``traces`` that carries operand masks to simulate.
+
+    The single definition of the skip rule shared by the simulator and
+    by the engine's cache partitioning, so they can never disagree on
+    which layers are simulated.
+    """
+    return [t for t in traces if t.activation_mask is not None]
+
+
 class LayerSimulator:
     """Simulates traced layers on the baseline and TensorDash accelerators."""
 
@@ -119,19 +127,11 @@ class LayerSimulator:
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
-        backend="vectorized",
     ):
         self.config = config or AcceleratorConfig()
         self.accelerator = Accelerator(self.config)
         self.max_groups = max_groups
         self.max_batch = max_batch
-        # Resolved lazily so repro.simulation does not import repro.engine
-        # at module load time (the engine orchestrates *over* this module).
-        if isinstance(backend, str) or backend is None:
-            from repro.engine.backend import get_backend
-
-            backend = get_backend(backend)
-        self.backend = backend
         self.extractor = StreamExtractor(
             tile_rows=self.config.tile.rows,
             lanes=self.config.pe.lanes,
@@ -148,9 +148,10 @@ class LayerSimulator:
     def streams_for_trace(self, trace: LayerTrace) -> Dict[str, OperandStreams]:
         """Operand streams per traced operation (empty if nothing traced).
 
-        Public so batching backends can extract every layer's streams up
-        front, fuse them into large scheduling batches, and then hand the
-        raw per-operation results back to :meth:`finalize_layer`.
+        Public so :meth:`simulate_layers` can extract every layer's
+        streams up front, fuse them into large scheduling batches, and
+        then hand the raw per-operation results back to
+        :meth:`finalize_layer`.
         """
         if trace.activation_mask is None:
             return {}
@@ -256,24 +257,42 @@ class LayerSimulator:
 
     def simulate_layer(self, trace: LayerTrace) -> LayerResult:
         """Simulate all traced operations of one layer."""
-        streams = self.streams_for_trace(trace)
-        op_results = {
-            operation: self.backend.run_operation(
-                self.accelerator, operation, operand_streams.groups
+        results = self.simulate_layers([trace])
+        if not results:
+            raise ValueError(
+                f"layer {trace.layer_name!r} has no operand masks to simulate"
             )
-            for operation, operand_streams in streams.items()
-        }
-        factors = {
-            operation: operand_streams.sampling_factor
-            for operation, operand_streams in streams.items()
-        }
-        return self.finalize_layer(trace, op_results, factors)
+        return results[0]
 
-    def simulate_layers(self, traces: List[LayerTrace]) -> List[LayerResult]:
+    def simulate_layers(self, traces: Sequence[LayerTrace]) -> List[LayerResult]:
         """Simulate every traced layer; layers without masks are skipped.
 
-        Delegates to the backend so layer-batching backends
-        (``vectorized``) can fuse the work; results always come back in
-        trace order.
+        Stream extraction runs per layer, but the extracted work groups of
+        *all* layers and operations go to one
+        :meth:`~repro.core.accelerator.Accelerator.run_operations_batched`
+        call, so the per-cycle scheduling cost is amortised across the
+        whole trace rather than per operation.  Sampling scaling and the
+        memory-hierarchy constraint still run per layer in
+        :meth:`finalize_layer`.  Results come back in trace order.
         """
-        return self.backend.simulate_layers(self, traces)
+        layers = traced_layers(traces)
+        layer_streams = [self.streams_for_trace(trace) for trace in layers]
+        units = [
+            (index, operation, operand_streams)
+            for index, streams in enumerate(layer_streams)
+            for operation, operand_streams in streams.items()
+        ]
+        op_results = self.accelerator.run_operations_batched(
+            [(operation, s.groups) for _, operation, s in units]
+        )
+        per_layer: List[Dict[str, OperationResult]] = [{} for _ in layers]
+        for (index, operation, _), op_result in zip(units, op_results):
+            per_layer[index][operation] = op_result
+        return [
+            self.finalize_layer(
+                trace,
+                per_layer[index],
+                {op: s.sampling_factor for op, s in layer_streams[index].items()},
+            )
+            for index, trace in enumerate(layers)
+        ]

@@ -7,17 +7,15 @@ speedups, memory traffic and energy per model and per operation — the
 quantities Figs. 13-20 and Table 3 report.
 
 Layer execution goes through a :class:`repro.engine.SimulationEngine`, so
-every runner accepts a ``backend`` (``"reference"`` or ``"vectorized"``)
-and a ``cache_dir`` enabling the content-addressed on-disk result cache.
-With a cache directory set, re-running a sweep re-simulates only layers
-whose (config, trace) key has never been seen; everything else is loaded
-from disk, and ``runner.engine.stats`` records the hit/miss split for
-reports.  Backends are bit-identical, so results never depend on the
-execution strategy chosen.
+every runner accepts a ``cache_dir`` enabling the content-addressed
+on-disk result cache.  With a cache directory set, re-running a sweep
+re-simulates only layers whose (config, trace) key has never been seen;
+everything else is loaded from disk, and ``runner.engine.stats`` records
+the hit/miss split for reports.
 
 Runners can alternatively be handed an existing
 :class:`~repro.engine.SimulationEngine` via the ``engine`` argument, in
-which case the backend/cache arguments are ignored and the runner shares
+which case the cache argument is ignored and the runner shares
 that engine's cache stack and counters.  This is how
 :class:`repro.api.Session` gives every workflow one warm cache.
 """
@@ -32,7 +30,7 @@ import numpy as np
 from repro.core.config import AcceleratorConfig
 from repro.energy.accounting import EfficiencyReport, EnergyAccountant
 from repro.memory.traffic import MemoryTraffic
-from repro.simulation.cycle_sim import LayerResult, LayerSimulator
+from repro.simulation.cycle_sim import LayerResult, LayerSimulator, traced_layers
 from repro.simulation.speedup import potential_speedup_from_sparsity
 from repro.training.tracing import EpochTrace, TrainingTrace
 
@@ -171,7 +169,6 @@ class ExperimentRunner:
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
-        backend="vectorized",
         cache_dir: Optional[str] = None,
         engine=None,
     ):
@@ -186,7 +183,6 @@ class ExperimentRunner:
             # This runner owns its engine (the classic one-shot wiring).
             engine = SimulationEngine(
                 self.config,
-                backend=backend,
                 cache_dir=cache_dir,
                 max_groups=max_groups,
                 max_batch=max_batch,
@@ -201,7 +197,7 @@ class ExperimentRunner:
 
     @property
     def engine_stats(self):
-        """Backend / cache counters for this runner (an ``EngineStats``)."""
+        """Simulation / cache counters for this runner (an ``EngineStats``)."""
         return self.engine.stats
 
     # ------------------------------------------------------------------
@@ -226,15 +222,13 @@ class ExperimentRunner:
 
         ``traced`` is a sequence of ``(model_name, EpochTrace)`` pairs.
         Every epoch's traced layers are flattened into a single
-        ``engine.simulate_layers`` call — so the vectorized backend fuses
+        ``engine.simulate_layers`` call — so the scheduling kernel fuses
         every workload's work groups and the result cache is consulted
         exactly once per layer — and the results are split back per
         workload in input order.  This is the batch entry point the
         design-space :class:`repro.explore.StudyRunner` drives for points
         that share an accelerator configuration.
         """
-        from repro.engine.backend import traced_layers
-
         flat = []
         spans = []
         for model_name, epoch_trace in traced:
@@ -322,7 +316,6 @@ def simulate_model_training(
     learning_rate: float = 0.01,
     max_groups: Optional[int] = 128,
     pruning_hook=None,
-    backend="vectorized",
     cache_dir: Optional[str] = None,
 ) -> ModelResult:
     """End-to-end convenience: train briefly, trace, and simulate.
@@ -353,7 +346,6 @@ def simulate_model_training(
     )
     trace = trainer.train(dataset, model_name=model_name)
     runner = ExperimentRunner(
-        config=config, max_groups=max_groups,
-        backend=backend, cache_dir=cache_dir,
+        config=config, max_groups=max_groups, cache_dir=cache_dir
     )
     return runner.run_final_epoch(trace)

@@ -11,9 +11,9 @@ Two usage styles, both no-ops when tracing is disabled::
 
     from repro.telemetry import get_tracer, traced
 
-    with get_tracer().span("engine.simulate_layers", backend="vectorized") as span:
+    with get_tracer().span("engine.cache_lookup", layers=12) as span:
         ...
-        span.set(layers=12)
+        span.set(hits=9, misses=3)
 
     @traced("study.point")
     def measure(point): ...

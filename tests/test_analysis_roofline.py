@@ -19,6 +19,7 @@ from repro.core.config import AcceleratorConfig
 from repro.models.registry import trace_workload
 from repro.simulation.runner import ExperimentRunner
 from repro.simulation.speedup import bandwidth_bound_speedup
+from tests.test_engine_backends import run_on_oracle
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +106,9 @@ class TestRooflineReportFromModel:
         config = AcceleratorConfig().with_hierarchy(
             dram_bandwidth_gbps=2.0, sram_kb=64
         )
-        reference = run(config, snli_trace, backend="reference")
-        vectorized = run(config, snli_trace, backend="vectorized")
+        with run_on_oracle():
+            reference = run(config, snli_trace)
+        vectorized = run(config, snli_trace)
         assert [r.layer_name for r in reference.layer_results] == [
             r.layer_name for r in vectorized.layer_results
         ]

@@ -77,7 +77,7 @@ def _sample_instances():
         "frontier": [],
         "best_per_objective": {},
         "resumed_points": 0,
-        "engine": {"backend": "vectorized", "layers_simulated": 4},
+        "engine": {"cache_dir": None, "layers_simulated": 4},
     }
     return [
         SimulateRequest(model="snli"),
@@ -98,7 +98,7 @@ def _sample_instances():
         SweepResult(model="snli", knob="staging", values=[2, 3], study=study_doc),
         ExploreResult(study=study_doc),
         ApiResult(kind="simulate", result=simulate_result,
-                  engine={"backend": "vectorized", "cache_hits": 4},
+                  engine={"cache_dir": None, "cache_hits": 4},
                   elapsed_seconds=0.25),
         ApiResult(kind="roofline", result=roofline_result),
     ]

@@ -13,38 +13,38 @@ FAST = dict(epochs=1, batches_per_epoch=1, batch_size=4, max_groups=8)
 class TestEngineOptionResolution:
     def test_defaults(self):
         options = resolve_engine_options(environ={})
-        assert options.backend == "vectorized"
         assert options.cache_dir is None
+        assert "backend" not in options.as_dict()
 
     def test_env_vars_fill_unset_arguments(self):
         options = resolve_engine_options(environ={
-            "REPRO_BACKEND": "reference",
             "REPRO_CACHE_DIR": "/tmp/somewhere",
         })
-        assert options.backend == "reference"
         assert options.cache_dir == "/tmp/somewhere"
 
     def test_explicit_arguments_beat_env_vars(self):
         options = resolve_engine_options(
-            backend="vectorized", cache_dir="/tmp/explicit",
-            environ={"REPRO_BACKEND": "reference",
-                     "REPRO_CACHE_DIR": "/tmp/env"},
+            cache_dir="/tmp/explicit",
+            environ={"REPRO_CACHE_DIR": "/tmp/env"},
         )
-        assert options.backend == "vectorized"
         assert options.cache_dir == "/tmp/explicit"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_engine_options(environ={"REPRO_BACKEND": "quantum"})
+        """There is one engine path: a backend argument is a usage error."""
+        with pytest.raises(TypeError, match="backend"):
+            resolve_engine_options(backend="quantum", environ={})
 
     def test_parallel_backend_is_gone(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_engine_options(backend="parallel", environ={})
+        with pytest.raises(TypeError, match="backend"):
+            Session(backend="parallel", environ={})
 
-    def test_session_resolves_through_the_same_helper(self):
-        session = Session(environ={"REPRO_BACKEND": "reference"})
-        assert session.options.backend == "reference"
-        assert session.engine.stats.backend == "reference"
+    def test_session_resolves_through_the_same_helper(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        environ = {"REPRO_CACHE_DIR": cache_dir, "REPRO_BACKEND": "reference"}
+        session = Session(environ=environ)
+        assert session.options == resolve_engine_options(environ=environ)
+        assert session.engine.stats.cache_dir == cache_dir
+        assert "backend" not in session.stats()["options"]
 
 
 class TestSessionCaching:

@@ -32,15 +32,31 @@ class TestParser:
         assert args.model == "snli"
         assert args.dram_bandwidth_gbps is None   # Table 2 peak at runtime
         assert args.sram_kb is None
-        # None, not "vectorized": the engine-option helper resolves the
-        # backend (REPRO_BACKEND fallback) so the CLI cannot shadow it.
-        assert args.backend is None
+        # None, not a directory: the engine-option helper resolves the
+        # cache dir (REPRO_CACHE_DIR fallback) so the CLI cannot shadow it.
+        assert args.cache_dir is None
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8000
-        assert args.backend is None
+        assert args.cache_dir is None
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "snli"],
+        ["roofline", "snli"],
+        ["scale", "snli"],
+        ["sweep", "snli", "--knob", "staging", "--values", "2,3"],
+        ["explore", "spec.json"],
+        ["diff", "a", "b"],
+        ["serve"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_backend_flag_is_a_usage_error(self, argv, capsys):
+        """One engine path: ``--backend`` is gone from every subcommand."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--backend", "reference"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         from repro import __version__

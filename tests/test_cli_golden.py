@@ -7,9 +7,8 @@ the expected text with the pre-API wiring — a frozen copy of the old
 command bodies driving ``ExperimentRunner`` / ``StudyRunner`` directly —
 and compares it against the real CLI output character by character.
 
-Everything is seeded, and all backends are bit-identical, so the two
-paths must agree exactly; any formatting drift in the new layer fails
-loudly here.
+Everything is seeded, so the two paths must agree exactly; any
+formatting drift in the new layer fails loudly here.
 """
 
 import io

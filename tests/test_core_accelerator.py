@@ -14,7 +14,6 @@ from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
 from repro.core.tile import TensorDashTile
-from repro.engine.backend import ReferenceBackend
 from tests.test_engine_backends import random_groups
 
 
@@ -215,7 +214,8 @@ class TestRaggedBatchedKernels:
     @pytest.mark.parametrize("lanes,depth", [(16, 3), (32, 3)])
     def test_run_operations_batched_matches_per_unit(self, lanes, depth):
         # lanes=32 exceeds the 64-bit window and runs on the oracle's
-        # walk; lanes=16 exercises the packed merge.
+        # walk; lanes=16 exercises the packed merge.  Both must also match
+        # the oracle itself.
         rng = np.random.default_rng(lanes)
         config = AcceleratorConfig().with_pe(lanes=lanes, staging_depth=depth)
         acc = Accelerator(config)
@@ -233,6 +233,7 @@ class TestRaggedBatchedKernels:
         fused = acc.run_operations_batched(units)
         for (name, groups), result in zip(units, fused):
             assert result == acc.run_operation_batched(name, groups), name
+            assert result == acc.run_operation_reference(name, groups), name
 
     def test_run_operations_batched_rejects_mixed_tile_rows(self):
         acc = Accelerator()
@@ -271,7 +272,7 @@ class TestInputValidation:
         acc = Accelerator()
         groups = make_groups(num_groups=3, tile_rows=4, stream_rows=5, lanes=8)
         calls = {
-            "reference": lambda: ReferenceBackend().run_operation(acc, "AxW", groups),
+            "reference": lambda: acc.run_operation_reference("AxW", groups),
             "tile_cycles_batch": lambda: acc.tile_cycles_batch(groups),
             "run_operation_batched": lambda: acc.run_operation_batched("AxW", groups),
             "run_operations_batched": lambda: acc.run_operations_batched(

@@ -1,12 +1,13 @@
-"""Backend equivalence and result-cache tests for the simulation engine.
+"""Kernel-vs-oracle equivalence and result-cache tests for the engine.
 
-The engine's core guarantee is that backend choice is purely a wall-clock
-decision: ``vectorized`` must be bit-identical to the ``reference`` oracle
-— same cycle counts, same MAC counts, same traffic — across sparsity
-levels and layer shapes.  These tests enforce that at the
-operation level (random row groups) and at the system level (traced
-layers through the full ``SimulationEngine``), and cover the on-disk
-cache's hit/miss/invalidation semantics.
+The engine's core guarantee is that the batched scheduling kernel
+(``Accelerator.run_operations_batched``) is bit-identical to the readable
+oracle (``Accelerator.run_operation_reference``) — same cycle counts,
+same MAC counts, same traffic — across sparsity levels and layer shapes.
+These tests enforce that at the operation level (random row groups) and
+at the system level (traced layers through the full ``SimulationEngine``,
+run once on the kernel and once on the oracle via :func:`run_on_oracle`),
+and cover the on-disk cache's hit/miss/invalidation semantics.
 """
 
 import json
@@ -14,7 +15,9 @@ import os
 import pickle
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,17 +25,31 @@ import pytest
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig
 from repro.engine import (
-    ReferenceBackend,
     ResultCache,
     SimulationEngine,
-    VectorizedBackend,
-    available_backends,
     config_fingerprint,
-    get_backend,
     layer_key,
     trace_fingerprint,
 )
 from repro.training.tracing import LayerTrace
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@contextmanager
+def run_on_oracle():
+    """Schedule every operation on the readable oracle while active.
+
+    Patches :meth:`Accelerator.run_operations_batched` to map
+    :meth:`Accelerator.run_operation_reference` over its units, so whole
+    engines, runners and sessions run on ``HardwareScheduler.walk``
+    without any production switch.
+    """
+    def reference(self, units):
+        return [self.run_operation_reference(name, groups) for name, groups in units]
+
+    with mock.patch.object(Accelerator, "run_operations_batched", reference):
+        yield
 
 
 def random_groups(rng, num_groups, tile_rows, stream_rows, lanes=16, sparsity=0.6):
@@ -67,22 +84,6 @@ def assert_results_identical(lhs, rhs):
         assert a.traffic == b.traffic
 
 
-class TestBackendRegistry:
-    def test_backends_are_exactly_reference_and_vectorized(self):
-        assert available_backends() == ["reference", "vectorized"]
-
-    def test_get_backend_resolves_names_and_instances(self):
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("vectorized"), VectorizedBackend)
-        assert isinstance(get_backend(None), VectorizedBackend)
-        instance = VectorizedBackend()
-        assert get_backend(instance) is instance
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            get_backend("quantum")
-
-
 class TestOperationEquivalence:
     """Property test: random sparsities/shapes, bit-identical operations."""
 
@@ -91,8 +92,8 @@ class TestOperationEquivalence:
         rng = np.random.default_rng(int(sparsity * 10))
         acc = Accelerator()
         groups = random_groups(rng, 6, 4, 33, sparsity=sparsity)
-        ref = ReferenceBackend().run_operation(acc, "AxW", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxW", groups)
+        ref = acc.run_operation_reference("AxW", groups)
+        vec = acc.run_operation_batched("AxW", groups)
         assert ref == vec
 
     @pytest.mark.parametrize("seed", range(5))
@@ -108,16 +109,16 @@ class TestOperationEquivalence:
         acc = Accelerator(config)
         groups = random_groups(rng, num_groups, tile_rows, stream_rows,
                                sparsity=sparsity)
-        ref = ReferenceBackend().run_operation(acc, "WxG", groups)
-        vec = VectorizedBackend().run_operation(acc, "WxG", groups)
+        ref = acc.run_operation_reference("WxG", groups)
+        vec = acc.run_operation_batched("WxG", groups)
         assert ref == vec
 
     def test_power_gated_baseline_identical(self):
         rng = np.random.default_rng(7)
         acc = Accelerator(AcceleratorConfig(power_gated=True))
         groups = random_groups(rng, 4, 4, 20, sparsity=0.5)
-        ref = ReferenceBackend().run_operation(acc, "AxG", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxG", groups)
+        ref = acc.run_operation_reference("AxG", groups)
+        vec = acc.run_operation_batched("AxG", groups)
         assert ref == vec
         assert ref.tensordash_cycles == ref.baseline_cycles
 
@@ -131,7 +132,7 @@ class TestOperationEquivalence:
 
 
 class TestSystemEquivalence:
-    """Traced layers through the full engine, both backends."""
+    """Traced layers through the full engine, on the kernel and the oracle."""
 
     @pytest.fixture(scope="class")
     def traces(self):
@@ -144,34 +145,33 @@ class TestSystemEquivalence:
 
     @pytest.fixture(scope="class")
     def reference_results(self, traces):
-        engine = SimulationEngine(backend="reference", max_groups=16)
-        return engine.simulate_layers(traces)
+        with run_on_oracle():
+            return SimulationEngine(max_groups=16).simulate_layers(traces)
 
     def test_vectorized_bit_identical(self, traces, reference_results):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         assert_results_identical(engine.simulate_layers(traces),
                                  reference_results)
 
     def test_all_backends_identical_under_finite_hierarchy(self, traces):
-        """Memory-aware results are backend-invariant too (incl. stalls)."""
+        """Memory-aware results match the oracle too (incl. stalls)."""
         config = AcceleratorConfig().with_hierarchy(
             dram_bandwidth_gbps=4.0, sram_kb=128
         )
-        reference = SimulationEngine(
-            config, backend="reference", max_groups=16
-        ).simulate_layers(traces)
+        with run_on_oracle():
+            reference = SimulationEngine(
+                config, max_groups=16
+            ).simulate_layers(traces)
         assert any(
             op.memory_bound
             for result in reference
             for op in result.operations.values()
         )
-        results = SimulationEngine(
-            config, backend="vectorized", max_groups=16
-        ).simulate_layers(traces)
+        results = SimulationEngine(config, max_groups=16).simulate_layers(traces)
         assert_results_identical(results, reference)
 
     def test_refill_clamp_equivalence_deep_staging(self):
-        """staging depth > scratchpad banks: the clamp binds, backends agree."""
+        """staging depth > scratchpad banks: the clamp binds, kernel = oracle."""
         rng = np.random.default_rng(11)
         config = AcceleratorConfig().with_pe(staging_depth=4).with_hierarchy(
             dram_bandwidth_gbps=51.2
@@ -181,26 +181,27 @@ class TestSystemEquivalence:
         # highly sparse streams regularly drain all 4 staging rows at once
         # and hit the 3-bank refill ceiling.
         groups = random_groups(rng, 8, 1, 40, sparsity=0.97)
-        ref = ReferenceBackend().run_operation(acc, "AxW", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxW", groups)
+        ref = acc.run_operation_reference("AxW", groups)
+        vec = acc.run_operation_batched("AxW", groups)
         assert ref == vec
-        unclamped = VectorizedBackend().run_operation(
-            Accelerator(AcceleratorConfig().with_pe(staging_depth=4)),
-            "AxW", groups,
-        )
+        unclamped = Accelerator(
+            AcceleratorConfig().with_pe(staging_depth=4)
+        ).run_operation_batched("AxW", groups)
         assert vec.tensordash_cycles > unclamped.tensordash_cycles
 
     def test_layers_without_masks_are_skipped(self, traces):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         bare = LayerTrace(layer_name="untraced", layer_type="conv")
         results = engine.simulate_layers([bare] + list(traces))
         assert [r.layer_name for r in results] == [t.layer_name for t in traces]
+        with pytest.raises(ValueError, match="'untraced' has no operand masks"):
+            engine.simulator.simulate_layer(bare)
 
     def test_stats_count_simulated_layers(self, traces):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         engine.simulate_layers(traces)
         assert engine.stats.layers_simulated == len(traces)
-        assert engine.stats.backend == "vectorized"
+        assert "backend" not in engine.stats.as_dict()
         assert engine.stats.as_dict()["hit_rate"] == 0.0
 
 
@@ -211,14 +212,12 @@ class TestResultCache:
         return [make_conv_trace(rng, f"conv{i}", sparsity=0.5) for i in range(3)]
 
     def test_second_run_is_all_hits_and_bit_identical(self, traces, tmp_path):
-        first = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                 max_groups=16)
+        first = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         results_first = first.simulate_layers(traces)
         assert first.stats.cache_misses == len(traces)
         assert first.stats.layers_simulated == len(traces)
 
-        second = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        second = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         results_second = second.simulate_layers(traces)
         assert second.stats.cache_hits == len(traces)
         assert second.stats.cache_misses == 0
@@ -227,11 +226,10 @@ class TestResultCache:
         assert_results_identical(results_first, results_second)
 
     def test_config_change_invalidates(self, traces, tmp_path):
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
+        SimulationEngine(cache_dir=tmp_path, max_groups=16).simulate_layers(traces)
         other = SimulationEngine(
             AcceleratorConfig().with_pe(staging_depth=2),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         other.simulate_layers(traces)
         assert other.stats.cache_hits == 0
@@ -239,11 +237,10 @@ class TestResultCache:
 
     def test_hierarchy_change_invalidates(self, traces, tmp_path):
         """Results from differing memory hierarchies must never collide."""
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
+        SimulationEngine(cache_dir=tmp_path, max_groups=16).simulate_layers(traces)
         bounded = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         bounded.simulate_layers(traces)
         assert bounded.stats.cache_hits == 0
@@ -251,7 +248,7 @@ class TestResultCache:
         # A different bandwidth is again a different key...
         other = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=8.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         other.simulate_layers(traces)
         assert other.stats.cache_hits == 0
@@ -259,13 +256,13 @@ class TestResultCache:
         # the stall/bound fields surviving the round trip.
         again = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         cached = again.simulate_layers(traces)
         assert again.stats.cache_hits == len(traces)
         fresh = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", max_groups=16,
+            max_groups=16,
         ).simulate_layers(traces)
         assert_results_identical(cached, fresh)
         assert any(
@@ -275,11 +272,12 @@ class TestResultCache:
         )
 
     def test_reference_filled_cache_serves_vectorized(self, traces, tmp_path):
-        """Backends are bit-identical, so one backend's entries serve all."""
-        filled = SimulationEngine(backend="reference", cache_dir=tmp_path,
-                                  max_groups=16).simulate_layers(traces)
-        vec = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                               max_groups=16)
+        """Entries the oracle filled serve the kernel: the key has no engine path."""
+        with run_on_oracle():
+            filled = SimulationEngine(
+                cache_dir=tmp_path, max_groups=16
+            ).simulate_layers(traces)
+        vec = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         served = vec.simulate_layers(traces)
         assert vec.stats.hit_rate == 1.0
         assert vec.stats.cache_hits == len(traces)
@@ -290,23 +288,32 @@ class TestResultCache:
         rng = np.random.default_rng(9)
         trace_a = make_conv_trace(rng, "conv", sparsity=0.5)
         trace_b = make_conv_trace(rng, "conv", sparsity=0.5)  # new random masks
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         engine.simulate_layers([trace_a])
         engine.simulate_layers([trace_b])
         assert engine.stats.cache_misses == 2
 
     def test_corrupt_entry_is_a_miss(self, traces, tmp_path):
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
-        engine.simulate_layers(traces)
-        for path in engine.cache.cache_dir.glob("*/*.json"):
-            path.write_text("{not json")
-        again = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                 max_groups=16)
-        again.simulate_layers(traces)
-        assert again.stats.cache_hits == 0
-        assert again.stats.cache_misses == len(traces)
+        """Unparseable files and valid JSON of the wrong shape both miss."""
+        fresh = SimulationEngine(
+            cache_dir=tmp_path, max_groups=16
+        ).simulate_layers(traces)
+        bodies = [
+            "{not json",
+            "[]",
+            "null",
+            '"x"',
+            '{"version": 2, "layer_name": "l", "operations": [], "traffic": {}}',
+        ]
+        for body in bodies:
+            paths = list(tmp_path.glob("*/*.json"))
+            assert len(paths) == len(traces)
+            for path in paths:
+                path.write_text(body)
+            again = SimulationEngine(cache_dir=tmp_path, max_groups=16)
+            assert_results_identical(again.simulate_layers(traces), fresh)
+            assert again.stats.cache_hits == 0, body
+            assert again.stats.cache_misses == len(traces), body
 
     def test_fingerprints_are_stable_and_sensitive(self):
         rng = np.random.default_rng(5)
@@ -323,8 +330,7 @@ class TestResultCache:
         assert key != layer_key(config_fingerprint(config, 32, 4), tfp)
 
     def test_cache_len_counts_entries(self, traces, tmp_path):
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         engine.simulate_layers(traces)
         assert len(ResultCache(tmp_path)) == len(traces)
 
@@ -334,25 +340,26 @@ class TestResultCache:
         layers_file.write_bytes(pickle.dumps(traces))
         worker = (
             "import json, pickle, sys\n"
+            "from contextlib import nullcontext\n"
             "from repro.engine import SimulationEngine\n"
+            "from tests.test_engine_backends import run_on_oracle\n"
             "layers = pickle.load(open(sys.argv[1], 'rb'))\n"
-            "engine = SimulationEngine(backend=sys.argv[3],"
-            " cache_dir=sys.argv[2], max_groups=16)\n"
-            "engine.simulate_layers(layers)\n"
+            "engine = SimulationEngine(cache_dir=sys.argv[2], max_groups=16)\n"
+            "with run_on_oracle() if sys.argv[3] == 'reference' else nullcontext():\n"
+            "    engine.simulate_layers(layers)\n"
             "print(json.dumps({'simulated': engine.stats.layers_simulated,"
             " 'disk_hits': engine.stats.disk_hits}))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
         env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src
-        )
+        if env.get("PYTHONPATH"):
+            paths.append(env["PYTHONPATH"])
+        env["PYTHONPATH"] = os.pathsep.join(paths)
         stats = []
-        for backend in ("reference", "vectorized"):
+        for path in ("reference", "kernel"):
             proc = subprocess.run(
                 [sys.executable, "-c", worker, str(layers_file),
-                 str(tmp_path / "cache"), backend],
+                 str(tmp_path / "cache"), path],
                 capture_output=True, text=True, env=env, check=False,
             )
             assert proc.returncode == 0, proc.stderr[-2000:]
@@ -370,18 +377,16 @@ class TestRunnerIntegration:
         epoch = EpochTrace(epoch=0,
                            layers=[make_conv_trace(rng, "c0"),
                                    make_conv_trace(rng, "c1")])
-        runner = ExperimentRunner(max_groups=16, backend="vectorized",
-                                  cache_dir=tmp_path)
+        runner = ExperimentRunner(max_groups=16, cache_dir=tmp_path)
         runner.run_epoch("toy", epoch)
         assert runner.engine_stats.cache_misses == 2
-        rerun = ExperimentRunner(max_groups=16, backend="vectorized",
-                                 cache_dir=tmp_path)
+        rerun = ExperimentRunner(max_groups=16, cache_dir=tmp_path)
         rerun.run_epoch("toy", epoch)
         assert rerun.engine_stats.cache_hits == 2
         assert rerun.engine_stats.layers_simulated == 0
 
     def test_runner_backend_equivalence_on_trained_trace(self):
-        """End-to-end: a real (briefly trained) model, all backends agree."""
+        """End-to-end: a real (briefly trained) model, kernel = oracle."""
         from repro.models import build_snli
         from repro.nn.optim import MomentumSGD
         from repro.simulation.runner import ExperimentRunner
@@ -399,11 +404,8 @@ class TestRunnerIntegration:
             config=TrainingConfig(epochs=1, batches_per_epoch=1, batch_size=4),
         )
         trace = trainer.train(dataset, model_name="snli")
-        results = {}
-        for backend in ("reference", "vectorized"):
-            runner = ExperimentRunner(max_groups=8, backend=backend)
-            results[backend] = runner.run_final_epoch(trace)
-        ref = results["reference"]
-        assert_results_identical(results["vectorized"].layer_results,
-                                 ref.layer_results)
-        assert results["vectorized"].speedup() == ref.speedup()
+        with run_on_oracle():
+            ref = ExperimentRunner(max_groups=8).run_final_epoch(trace)
+        vec = ExperimentRunner(max_groups=8).run_final_epoch(trace)
+        assert_results_identical(vec.layer_results, ref.layer_results)
+        assert vec.speedup() == ref.speedup()

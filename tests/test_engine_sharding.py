@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.engine import EngineStats, ResultCache, SimulationEngine
 from repro.simulation.cycle_sim import LayerSimulator
-from tests.test_engine_backends import assert_results_identical, make_conv_trace
+from tests.test_engine_backends import (
+    assert_results_identical,
+    make_conv_trace,
+    run_on_oracle,
+)
 
 
 class TestSharedTier:
@@ -37,14 +41,13 @@ class TestSharedTier:
         traces = [make_conv_trace(rng, name=f"c{i}") for i in range(3)]
         shared = str(tmp_path / "shared")
 
-        first = SimulationEngine(backend="reference", cache_dir=shared,
-                                 max_groups=8)
-        fresh = first.simulate_layers(traces)
+        first = SimulationEngine(cache_dir=shared, max_groups=8)
+        with run_on_oracle():
+            fresh = first.simulate_layers(traces)
         assert first.stats.layers_simulated == 3
         assert first.stats.disk_hits == 0
 
-        second = SimulationEngine(backend="vectorized", cache_dir=shared,
-                                  max_groups=8)
+        second = SimulationEngine(cache_dir=shared, max_groups=8)
         warm = second.simulate_layers(traces)
         assert second.stats.layers_simulated == 0
         assert second.stats.disk_hits == 3
@@ -56,9 +59,9 @@ class TestSharedTier:
         traces = [make_conv_trace(rng, name="p")]
         shared = tmp_path / "shared"
 
-        SimulationEngine(backend="vectorized", cache_dir=str(shared),
+        SimulationEngine(cache_dir=str(shared),
                          max_groups=8).simulate_layers(traces)
-        engine = SimulationEngine(backend="vectorized", cache_dir=str(shared),
+        engine = SimulationEngine(cache_dir=str(shared),
                                   memory_cache=True, max_groups=8)
         fresh = engine.simulate_layers(traces)
         assert engine.stats.disk_hits == 1
@@ -75,7 +78,7 @@ class TestSharedTier:
     def test_memo_sits_above_shared_tier(self, tmp_path):
         rng = np.random.default_rng(4)
         traces = [make_conv_trace(rng, name="m")]
-        engine = SimulationEngine(backend="vectorized", memory_cache=True,
+        engine = SimulationEngine(memory_cache=True,
                                   cache_dir=str(tmp_path / "s"),
                                   max_groups=8)
         engine.simulate_layers(traces)
@@ -85,15 +88,14 @@ class TestSharedTier:
         assert engine.stats.layers_simulated == 1
 
     def test_stats_round_trip_with_tier_counters(self):
-        stats = EngineStats(backend="vectorized", cache_dir="shared-cache",
+        stats = EngineStats(cache_dir="shared-cache",
                             cache_hits=5, memo_hits=3, disk_hits=2,
                             cache_misses=1)
         payload = stats.as_dict()
         assert payload["memo_hits"] == 3
         assert payload["disk_hits"] == 2
         assert EngineStats.from_dict(payload) == stats
-        delta = stats.since(EngineStats(backend="vectorized",
-                                        cache_dir="shared-cache",
+        delta = stats.since(EngineStats(cache_dir="shared-cache",
                                         memo_hits=1, disk_hits=1))
         assert delta.memo_hits == 2
         assert delta.disk_hits == 1

@@ -17,7 +17,7 @@ from tests.test_engine_backends import make_conv_trace
 class TestRoundTrips:
     def test_as_dict_from_dict_round_trip(self):
         stats = EngineStats(
-            backend="reference", cache_dir="/tmp/c",
+            cache_dir="/tmp/c",
             layers_simulated=10, cache_hits=7, cache_misses=3,
             memo_hits=4, disk_hits=3,
         )
@@ -26,7 +26,7 @@ class TestRoundTrips:
 
     def test_from_dict_ignores_unknown_and_derived_fields(self):
         payload = {
-            "backend": "vectorized",
+            "backend": "vectorized",     # older writer: ignored
             "layers_simulated": 5,
             "cache_hits": 2,
             "cache_misses": 3,
@@ -40,16 +40,16 @@ class TestRoundTrips:
         assert stats.cache_hits == 2
         assert stats.hit_rate == 2 / 5
         assert not hasattr(stats, "future_counter")
+        assert not hasattr(stats, "backend")
 
     def test_from_dict_defaults_missing_counters(self):
         stats = EngineStats.from_dict({})
-        assert stats.backend == "vectorized"
         assert stats.cache_dir is None
         assert stats.layers_total == 0
         assert stats.hit_rate == 0.0
 
     def test_snapshot_is_independent(self):
-        stats = EngineStats(backend="vectorized", layers_simulated=1)
+        stats = EngineStats(layers_simulated=1)
         frozen = stats.snapshot()
         stats.layers_simulated = 9
         stats.cache_hits = 4
@@ -58,11 +58,11 @@ class TestRoundTrips:
 
     def test_since_yields_exact_deltas_with_current_metadata(self):
         before = EngineStats(
-            backend="vectorized", layers_simulated=3, cache_hits=1,
+            layers_simulated=3, cache_hits=1,
             cache_misses=2, memo_hits=1,
         )
         after = EngineStats(
-            backend="vectorized", cache_dir="/tmp/c", layers_simulated=10,
+            cache_dir="/tmp/c", layers_simulated=10,
             cache_hits=5, cache_misses=7, memo_hits=2, disk_hits=3,
         )
         delta = after.since(before)
@@ -78,8 +78,7 @@ class TestRoundTrips:
         rng = np.random.default_rng(11)
         layers = [make_conv_trace(rng, name=f"conv{i}") for i in range(3)]
         engine = SimulationEngine(
-            backend="vectorized", cache_dir=tmp_path / "cache",
-            max_groups=8, max_batch=2,
+            cache_dir=tmp_path / "cache", max_groups=8, max_batch=2,
         )
         engine.simulate_layers(layers)
         before = engine.stats.snapshot()

@@ -74,6 +74,16 @@ class TestParallelExecution:
         ).run()
         assert parallel.stats.layers_simulated == serial.stats.layers_simulated
         assert parallel.stats.cache_misses == serial.stats.cache_misses
+        # Warm reruns: every hit is attributed to the tier that served it,
+        # whether the points ran in this process or on workers.
+        warm_serial = StudyRunner(spec, study_dir=tmp_path / "serial").run()
+        warm_parallel = StudyRunner(
+            spec, study_dir=tmp_path / "parallel", study_jobs=2
+        ).run()
+        for stats in (warm_serial.stats, warm_parallel.stats):
+            assert stats.cache_hits > 0
+            assert stats.cache_hits == stats.memo_hits + stats.disk_hits
+        assert warm_serial.stats.cache_hits == warm_parallel.stats.cache_hits
 
     def test_study_workers_gauge(self, tmp_path):
         spec = tiny_spec()

@@ -184,18 +184,17 @@ class TestEngineFeed:
         rng = np.random.default_rng(7)
         layers = [make_conv_trace(rng, name=f"conv{i}") for i in range(2)]
         engine = SimulationEngine(
-            backend="vectorized", cache_dir=tmp_path / "cache",
-            max_groups=8, max_batch=2,
+            cache_dir=tmp_path / "cache", max_groups=8, max_batch=2,
         )
-        simulated_before = LAYERS_SIMULATED.value(backend="vectorized")
+        simulated_before = LAYERS_SIMULATED.value()
         misses_before = CACHE_MISSES.value()
         disk_before = CACHE_HITS.value(tier="disk")
 
         engine.simulate_layers(layers)
-        assert LAYERS_SIMULATED.value(backend="vectorized") == simulated_before + 2
+        assert LAYERS_SIMULATED.value() == simulated_before + 2
         assert CACHE_MISSES.value() == misses_before + 2
 
         # Second pass: memo is off, the disk tier serves both layers.
         engine.simulate_layers(layers)
         assert CACHE_HITS.value(tier="disk") == disk_before + 2
-        assert LAYERS_SIMULATED.value(backend="vectorized") == simulated_before + 2
+        assert LAYERS_SIMULATED.value() == simulated_before + 2
