@@ -19,7 +19,10 @@ workload + trace parameters), per-configuration runners, and — through
 the engine memo — every simulated layer result.  Two identical requests
 therefore train once and simulate once; the second is pure cache hits,
 which the per-request :class:`~repro.engine.EngineStats` delta in the
-:class:`~repro.api.schema.ApiResult` envelope makes visible.
+:class:`~repro.api.schema.ApiResult` envelope makes visible.  With a
+cache dir attached (``cache_dir``, or explore's ``<study_dir>/cache``),
+traces persist there too (:meth:`ResultCache.load_trace`), so a new
+process or session trains each trace at most once per cache dir.
 
 Sessions are thread-safe: ``submit`` serialises execution under a lock,
 so a multi-threaded server shares one warm cache safely.
@@ -62,9 +65,10 @@ from repro.api.schema import (
     _ApiModel,
 )
 from repro.core.config import AcceleratorConfig
+from repro.engine.cache import trace_key
 from repro.engine.engine import SimulationEngine
 from repro.engine.options import EngineOptions, resolve_engine_options
-from repro.models.registry import trace_workload
+from repro.models.registry import DEFAULT_LEARNING_RATE, trace_workload
 from repro.simulation.runner import ExperimentRunner
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import configure as configure_telemetry
@@ -88,7 +92,8 @@ class Session:
         Engine knobs; ``None`` falls back to the ``REPRO_CACHE_DIR`` /
         ``REPRO_TELEMETRY_DIR`` environment variables, then the
         defaults.  Point a fleet of serve workers at one ``cache_dir``
-        and they stop re-simulating what a sibling already finished;
+        and they stop retraining and re-simulating what a sibling
+        already finished;
         ``telemetry_dir`` enables the process-wide span tracer
         (:mod:`repro.telemetry`) and every ``submit`` then records a
         ``session.submit`` span tree plus a metrics snapshot to the
@@ -159,21 +164,38 @@ class Session:
         self, model: str, epochs: int, batches_per_epoch: int,
         batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
     ):
-        """Train-and-trace one workload, memoised with LRU eviction."""
+        """Train-and-trace one workload, memoised with LRU eviction.
+
+        On a memo miss with a disk cache attached, the trace is loaded
+        from the cache dir if any process stored it, and otherwise
+        trained and stored there.
+        """
         key = (model, epochs, batches_per_epoch, batch_size, seed,
                trace_max_batch)
         if key in self._traces:
             self._traces.move_to_end(key)
         else:
-            with get_tracer().span(
-                "session.trace", model=model, epochs=epochs,
-                batches_per_epoch=batches_per_epoch, batch_size=batch_size,
-            ):
-                self._traces[key] = trace_workload(
-                    model, epochs=epochs, batches_per_epoch=batches_per_epoch,
-                    batch_size=batch_size, seed=seed,
-                    trace_max_batch=trace_max_batch,
-                )
+            params = dict(
+                epochs=epochs, batches_per_epoch=batches_per_epoch,
+                batch_size=batch_size, seed=seed,
+                trace_max_batch=trace_max_batch,
+                learning_rate=DEFAULT_LEARNING_RATE,
+            )
+            store = self.engine.cache
+            stored_key = trace = None
+            if store is not None:
+                stored_key = trace_key(model, **params)
+                trace = store.load_trace(stored_key)
+                _metrics.TRACE_STORE.inc(result="miss" if trace is None else "hit")
+            if trace is None:
+                with get_tracer().span(
+                    "session.trace", model=model, epochs=epochs,
+                    batches_per_epoch=batches_per_epoch, batch_size=batch_size,
+                ):
+                    trace = trace_workload(model, **params)
+                if store is not None:
+                    store.store_trace(stored_key, trace)
+            self._traces[key] = trace
             while len(self._traces) > self._max_cached_traces:
                 self._traces.popitem(last=False)
         _metrics.CACHED_TRACES.set(len(self._traces))

@@ -4,7 +4,8 @@ This package is the execution layer between the accelerator model
 (:mod:`repro.core`) and everything that drives whole-model experiments
 (:mod:`repro.simulation.runner`, the CLI, the benchmark harness):
 
-* :mod:`repro.engine.cache` — the content-addressed on-disk result cache;
+* :mod:`repro.engine.cache` — the content-addressed on-disk cache of
+  layer results and training traces;
 * :mod:`repro.engine.engine` — :class:`SimulationEngine`, which puts the
   cache stack (disk and/or in-process memo) in front of
   :meth:`repro.simulation.cycle_sim.LayerSimulator.simulate_layers` and

@@ -266,15 +266,6 @@ class SimulationEngine:
             self.cache.store(key, result)
 
     # ------------------------------------------------------------------
-    def simulate_layer(self, trace, config: Optional[AcceleratorConfig] = None) -> LayerResult:
-        """Simulate (or load) one traced layer."""
-        results = self.simulate_layers([trace], config=config)
-        if not results:
-            raise ValueError(
-                f"layer {trace.layer_name!r} has no operand masks to simulate"
-            )
-        return results[0]
-
     def simulate_layers(
         self,
         traces: Sequence,

@@ -152,13 +152,17 @@ def build_dataset(name: str, seed: int = 0):
     return spec.dataset(num_classes=spec.num_classes, seed=seed)
 
 
+#: Learning rate of every traced training run; part of each trace key.
+DEFAULT_LEARNING_RATE = 0.01
+
+
 def trace_workload(
     name: str,
     epochs: int = 2,
     batches_per_epoch: int = 2,
     batch_size: int = 8,
     seed: int = 0,
-    learning_rate: float = 0.01,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     trace_max_batch: Optional[int] = None,
 ):
     """Train a registered workload briefly and return its operand traces.

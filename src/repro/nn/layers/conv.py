@@ -84,6 +84,10 @@ class Conv2D(Module):
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_bias)
+        # The im2col columns are the largest operand cache and backward
+        # is their last reader; freed here, they do not stay alive into
+        # the next step's forward pass.
+        self._cols = None
         return grad_input
 
     def trace_operands(self) -> Dict[str, np.ndarray]:

@@ -382,6 +382,12 @@ CACHED_TRACES = _DEFAULT_REGISTRY.gauge(
     "repro_session_cached_traces",
     "Training traces currently cached by the session.",
 )
+#: Trace-store lookups of sessions with a cache dir, by outcome.
+TRACE_STORE = _DEFAULT_REGISTRY.counter(
+    "repro_trace_store_total",
+    "Training-trace lookups in the cache dir, by result (hit, miss).",
+    labels=("result",),
+)
 #: Asynchronous job state transitions (a job increments every state it enters).
 JOBS_TOTAL = _DEFAULT_REGISTRY.counter(
     "repro_jobs_total",
@@ -405,6 +411,8 @@ JOB_SECONDS = _DEFAULT_REGISTRY.histogram(
 for _tier in ("memo", "disk"):
     CACHE_HITS.inc(0, tier=_tier)
 CACHE_MISSES.inc(0)
+for _result in ("hit", "miss"):
+    TRACE_STORE.inc(0, result=_result)
 # Likewise every job state, so dashboards see the full lifecycle from
 # the first scrape (mirrors repro.api.schema.JOB_STATES; kept literal —
 # this module sits below the API layer).

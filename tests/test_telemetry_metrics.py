@@ -147,6 +147,11 @@ class TestRegistry:
         }
         assert tiers == {"memo", "disk"}
         assert "repro_cache_misses_total" in payload
+        results = {
+            series["labels"]["result"]
+            for series in payload["repro_trace_store_total"]["values"]
+        }
+        assert results == {"hit", "miss"}
 
 
 class TestConcurrency:

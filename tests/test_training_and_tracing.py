@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_alexnet, build_gcn
+from repro.nn.layers.conv import Conv2D
 from repro.nn.optim import MomentumSGD
 from repro.training import (
     SyntheticImageDataset,
@@ -173,6 +174,22 @@ class TestTrainer:
         )
         trainer.train(dataset)
         assert len(calls) == 6
+
+    def test_training_frees_im2col_columns_but_keeps_traced_operands(self):
+        model = build_alexnet(width_multiplier=0.5)
+        trainer = Trainer(
+            model,
+            MomentumSGD(model.parameters(), lr=0.01),
+            config=TrainingConfig(epochs=1, batches_per_epoch=2, batch_size=4),
+        )
+        trainer.train(SyntheticImageDataset(size=32))
+        convs = [m for m in model.traceable_modules() if isinstance(m, Conv2D)]
+        assert convs
+        for conv in convs:
+            assert conv._cols is None, conv.name
+            operands = conv.trace_operands()
+            assert operands["activations"] is not None
+            assert operands["output_gradients"] is not None
 
     def test_gcn_trainer_on_sequences(self):
         model = build_gcn(vocab_size=64, sequence_length=10, num_classes=64)
