@@ -6,8 +6,9 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
 
 ``repro.core``
     The paper's contribution: the sparse input interconnect, the hierarchical
-    hardware scheduler, staging buffers, TensorDash and baseline processing
-    elements, tiles and the multi-tile accelerator model.
+    hardware scheduler (stepping a tile's PE rows in lockstep through their
+    staging windows), TensorDash and baseline processing elements and the
+    multi-tile accelerator model.
 
 ``repro.nn``
     A from-scratch numpy training framework used to generate realistic
@@ -25,10 +26,10 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     convolutions.
 
 ``repro.memory``
-    Tensor layout, transposers, on-chip SRAM, off-chip DRAM and zero
-    compression models, plus the :class:`~repro.memory.hierarchy.MemoryHierarchy`
-    bandwidth/capacity model the cycle simulator enforces (unbounded by
-    default; finite hierarchies add stall cycles and memory-bound verdicts).
+    Off-chip DRAM, zero compression and traffic-counting models, plus the
+    :class:`~repro.memory.hierarchy.MemoryHierarchy` bandwidth/capacity
+    model the cycle simulator enforces (unbounded by default; finite
+    hierarchies add stall cycles and memory-bound verdicts).
 
 ``repro.energy``
     Area, power and energy accounting for FP32 and bfloat16 configurations.

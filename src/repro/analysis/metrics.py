@@ -1,8 +1,8 @@
-"""Metric aggregation helpers used when assembling the paper's figures."""
+"""Metric aggregation for the paper's figures: the geometric mean of speedups."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -15,25 +15,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if np.any(array <= 0):
         raise ValueError("geometric mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(array))))
-
-
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain average."""
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        return 0.0
-    return float(array.mean())
-
-
-def summarize_speedups(per_model: Mapping[str, Mapping[str, float]]) -> Dict[str, float]:
-    """Average each operation's speedup across models (geometric mean).
-
-    ``per_model`` maps model name to a dict of operation -> speedup (the
-    per-model series of Fig. 13); the summary row is what the paper quotes
-    as the 1.95x average.
-    """
-    operations: Dict[str, list] = {}
-    for speedups in per_model.values():
-        for operation, value in speedups.items():
-            operations.setdefault(operation, []).append(value)
-    return {operation: geometric_mean(values) for operation, values in operations.items()}

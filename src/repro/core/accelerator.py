@@ -1,24 +1,26 @@
 """The multi-tile accelerator model.
 
 An accelerator is a grid of tiles (16 by default) fed from shared on-chip
-AM/BM/CM memories.  Work is distributed across tiles at the granularity of
-(filter-group, window-group) assignments; the accelerator's latency for an
-operation is the maximum latency across its tiles (they operate in
-lockstep on a layer), matching how the paper's simulator accounts for
-inter-tile imbalance.
+AM/BM/CM memories.  An operation is cut into lockstep work groups: the PE
+rows of one group share their A-side staging buffers, so they advance
+together.  The operation's TensorDash cycles are the *sum* of its groups'
+cycles, and the dense baseline's are the sum of its groups' stream rows.
+Both designs are thus charged as if the groups spread evenly over the
+tiles; inter-tile imbalance is not modelled here.
+:mod:`repro.core.dataflow` assigns groups to tiles round-robin and takes
+the slowest tile's latency instead, and
+``benchmarks/bench_ablation_multitile.py`` measures the gap between the two
+accounts (alexnet AxW: 1.845x summed, 1.761x over the slowest tile).
 
-For large workloads the per-value functional simulation in
-:class:`repro.core.tile.TensorDashTile` is too slow, so the accelerator
-offers a cycle-only path built on the bit-packed
-:class:`repro.core.scheduler.BatchScheduler` kernel; its cycle counts are
-identical to the functional model (verified by tests) because the
-scheduler decisions only depend on the operand zero patterns.
-
+A schedule depends only on the operands' zero patterns, so the model
+counts cycles on boolean masks of effectual positions, never on values.
 :meth:`Accelerator.tile_cycles_batch` schedules many lockstep groups at
-once and :meth:`Accelerator.run_operations_batched` fuses whole
+once on the bit-packed :class:`repro.core.scheduler.BatchScheduler`
+kernel, and :meth:`Accelerator.run_operations_batched` fuses whole
 operations into shared ragged batches — the kernel every engine run
-goes through.  The readable oracle it is checked against sits beside it:
-:meth:`Accelerator.run_operation_reference`.
+goes through.  The readable oracle it is checked against cycle for cycle
+sits beside it: :meth:`Accelerator.run_operation_reference`, which walks
+each group through :meth:`repro.core.scheduler.HardwareScheduler.walk`.
 """
 
 from __future__ import annotations

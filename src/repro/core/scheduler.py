@@ -16,7 +16,7 @@ One readable oracle and one fast kernel are provided:
 
 * :class:`HardwareScheduler` — a direct model of a single scheduling step
   (:meth:`~HardwareScheduler.schedule_step`) plus the one loop that steps
-  it through a stream (:meth:`~HardwareScheduler.walk`).  The PE, tile,
+  it through a stream (:meth:`~HardwareScheduler.walk`).  The PE,
   pre-scheduler and the accelerator's reference oracle are all built on
   ``walk``.
 * :class:`BatchScheduler` — the bit-packed numpy kernel: one ``uint64``

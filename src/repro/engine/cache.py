@@ -266,7 +266,7 @@ def _trace_from_bytes(data: bytes):
     return trace
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def write_atomic(path: Path, data: bytes) -> None:
     """Write ``path`` whole or not at all: temp file, then ``os.replace``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -318,7 +318,7 @@ class ResultCache:
     def store(self, key: str, result) -> None:
         """Persist one layer result (atomic rename, last writer wins)."""
         payload = json.dumps(_result_to_payload(result))
-        _write_atomic(self.path_for(key), payload.encode())
+        write_atomic(self.path_for(key), payload.encode())
 
     def load_trace(self, key: str):
         """The stored :class:`TrainingTrace` for a :func:`trace_key`, or
@@ -335,7 +335,7 @@ class ResultCache:
 
     def store_trace(self, key: str, trace) -> None:
         """Persist one training trace (atomic rename, last writer wins)."""
-        _write_atomic(self.path_for(key).with_suffix(".trace"), _trace_to_bytes(trace))
+        write_atomic(self.path_for(key).with_suffix(".trace"), _trace_to_bytes(trace))
 
     def __len__(self) -> int:
         """Stored layer results (training traces are not counted)."""

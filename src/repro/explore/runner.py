@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.frontier import Objective, best_per_objective, pareto_frontier
 from repro.energy.area_model import AreaModel
+from repro.engine.cache import write_atomic
 from repro.engine.engine import EngineStats
 from repro.memory.hierarchy import bytes_per_cycle
 from repro.explore.scenarios import apply_scenario
@@ -331,17 +331,7 @@ class StudyRunner:
             },
             indent=2,
         )
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, payload.encode())
         self._close_segment()
         segment = self.segment_path
         if segment is not None and segment.exists():

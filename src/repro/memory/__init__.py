@@ -1,10 +1,7 @@
-"""Memory-hierarchy models: layout, transposers, SRAM, DRAM, compression,
-traffic counting, and the bandwidth/capacity performance model
-(:mod:`repro.memory.hierarchy`) the cycle simulator enforces."""
+"""Memory-hierarchy models: DRAM, zero compression, traffic counting, and
+the bandwidth/capacity performance model (:mod:`repro.memory.hierarchy`)
+the cycle simulator enforces."""
 
-from repro.memory.layout import GroupedTensorLayout, TensorGroup
-from repro.memory.transposer import Transposer
-from repro.memory.sram import SRAMBank, BankedSRAM, Scratchpad
 from repro.memory.dram import DRAMModel
 from repro.memory.compression import (
     CompressingDMA,
@@ -15,12 +12,6 @@ from repro.memory.traffic import TrafficCounter, MemoryTraffic
 from repro.memory.hierarchy import MemoryHierarchy, MemoryVerdict, bytes_per_cycle
 
 __all__ = [
-    "GroupedTensorLayout",
-    "TensorGroup",
-    "Transposer",
-    "SRAMBank",
-    "BankedSRAM",
-    "Scratchpad",
     "DRAMModel",
     "CompressingDMA",
     "run_length_encode",

@@ -4,7 +4,7 @@ The framework exists to generate realistic operand sparsity traces
 (activations, weights and gradients) for the TensorDash hardware model.  It
 implements forward and backward passes for the layer types used by the
 paper's model zoo: 2D convolutions, fully-connected layers, ReLU, batch
-normalisation, pooling, dropout, embeddings and simple recurrent cells.
+normalisation, pooling, dropout and embeddings.
 
 Every layer caches the operands that participate in the three training
 convolutions described in the paper:
@@ -26,7 +26,6 @@ from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
 from repro.nn.layers.shape import Flatten, Concat, Add
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.recurrent import LSTMCell, GRUCell, RNNCell
 from repro.nn.model import Sequential, Graph
 from repro.nn.losses import CrossEntropyLoss, MSELoss, softmax
 from repro.nn.optim import SGD, MomentumSGD, Adam
@@ -51,9 +50,6 @@ __all__ = [
     "Add",
     "Dropout",
     "Embedding",
-    "LSTMCell",
-    "GRUCell",
-    "RNNCell",
     "Sequential",
     "Graph",
     "CrossEntropyLoss",

@@ -8,7 +8,6 @@ from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
 from repro.nn.layers.shape import Flatten, Concat, Add
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.recurrent import LSTMCell, GRUCell, RNNCell
 
 __all__ = [
     "Conv2D",
@@ -28,7 +27,4 @@ __all__ = [
     "Add",
     "Dropout",
     "Embedding",
-    "LSTMCell",
-    "GRUCell",
-    "RNNCell",
 ]

@@ -6,7 +6,6 @@ from repro.simulation.streams import (
     input_gradient_streams,
     weight_gradient_streams,
 )
-from repro.simulation.speedup import potential_speedup, operation_sparsity
 from repro.simulation.cycle_sim import LayerSimulator, LayerResult, OperationKind
 from repro.simulation.inference import FullyConnectedInference, conv_activation_groups
 from repro.simulation.runner import ExperimentRunner, ModelResult, simulate_model_training
@@ -16,8 +15,6 @@ __all__ = [
     "forward_streams",
     "input_gradient_streams",
     "weight_gradient_streams",
-    "potential_speedup",
-    "operation_sparsity",
     "LayerSimulator",
     "LayerResult",
     "OperationKind",

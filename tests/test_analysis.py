@@ -4,11 +4,9 @@ import pytest
 
 from repro.analysis import (
     ReportTable,
-    arithmetic_mean,
     format_series,
     format_table,
     geometric_mean,
-    summarize_speedups,
 )
 
 
@@ -21,19 +19,6 @@ class TestMetrics:
     def test_geometric_mean_rejects_non_positive(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        assert arithmetic_mean([]) == 0.0
-
-    def test_summarize_speedups(self):
-        per_model = {
-            "alexnet": {"AxW": 2.0, "Total": 2.0},
-            "vgg16": {"AxW": 8.0, "Total": 8.0},
-        }
-        summary = summarize_speedups(per_model)
-        assert summary["AxW"] == pytest.approx(4.0)
-        assert summary["Total"] == pytest.approx(4.0)
 
 
 class TestReporting:

@@ -18,7 +18,6 @@ from repro.analysis.roofline import (
 from repro.core.config import AcceleratorConfig
 from repro.models.registry import trace_workload
 from repro.simulation.runner import ExperimentRunner
-from repro.simulation.speedup import bandwidth_bound_speedup
 from tests.test_engine_backends import run_on_oracle
 
 
@@ -134,18 +133,3 @@ class TestRooflineReportFromModel:
         assert parsed["ridge_point"] == pytest.approx(payload["ridge_point"])
         assert parsed["memory_bound_points"] > 0
         assert len(parsed["points"]) == len(payload["points"])
-
-
-class TestBandwidthBoundSpeedup:
-    def test_degrades_toward_one_as_floor_rises(self):
-        speedups = [
-            bandwidth_bound_speedup(1000, 400, floor)
-            for floor in (0, 400, 700, 1000, 2000)
-        ]
-        assert speedups[0] == pytest.approx(2.5)
-        assert speedups == sorted(speedups, reverse=True)
-        assert speedups[-1] == 1.0
-
-    def test_rejects_negative_cycles(self):
-        with pytest.raises(ValueError):
-            bandwidth_bound_speedup(-1, 1, 1)

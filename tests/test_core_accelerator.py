@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.accelerator import Accelerator
-from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
+from repro.core.config import AcceleratorConfig, PEConfig
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
-from repro.core.tile import TensorDashTile
 from tests.test_engine_backends import random_groups
 
 
@@ -63,21 +62,13 @@ def unpack_claimed(claimed, depth, lanes):
 
 class TestTileCycles:
     def test_matches_functional_tile_model(self):
-        """The vectorised cycle path agrees with the per-value tile model."""
-        rng = np.random.default_rng(0)
-        stream_rows, lanes = 30, 16
+        """The vectorised cycle path counts the cycles the oracle walks."""
         accelerator = Accelerator()
+        oracle = HardwareScheduler(accelerator.pattern)
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            b_streams = []
-            for _ in range(4):
-                b = rng.random((stream_rows, lanes))
-                b[rng.random((stream_rows, lanes)) < 0.6] = 0.0
-                b_streams.append(b)
-            a_streams = [rng.random((stream_rows, lanes)) for _ in range(4)]
-            functional = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
-            effectual = np.stack([b != 0 for b in b_streams])
-            assert accelerator.tile_cycles_batch(effectual[None])[0] == functional.cycles
+            effectual = make_groups(num_groups=1, stream_rows=30, seed=seed)[0]
+            walked = sum(1 for _ in oracle.walk(effectual))
+            assert accelerator.tile_cycles_batch(effectual[None])[0] == walked
 
     def test_batch_matches_individual_groups(self):
         accelerator = Accelerator()

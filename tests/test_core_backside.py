@@ -1,9 +1,9 @@
-"""Tests for pre-scheduling (scheduled-form storage) and the back-side scheduler."""
+"""Tests for pre-scheduling (scheduled-form storage)."""
 
 import numpy as np
 import pytest
 
-from repro.core.backside import BacksideScheduler, PreScheduler
+from repro.core.backside import PreScheduler
 from repro.core.interconnect import ConnectivityPattern
 
 
@@ -81,31 +81,3 @@ class TestPreScheduler:
         stream = make_stream(rows=40, sparsity=0.8, seed=7)
         scheduled = scheduler.compress(stream)
         assert scheduled.footprint_values() == scheduled.scheduled_row_count * 16
-
-
-class TestBacksideScheduler:
-    def test_storage_savings_track_sparsity(self):
-        backside = BacksideScheduler()
-        sparse_saving = backside.storage_savings(make_stream(sparsity=0.8, seed=8))
-        dense_saving = backside.storage_savings(make_stream(sparsity=0.0, seed=8))
-        assert sparse_saving > dense_saving
-        assert dense_saving == pytest.approx(0.0)
-
-    def test_iterative_scheduler_takes_levels_cycles_per_row(self):
-        backside = BacksideScheduler(iterative=True)
-        block = make_stream(rows=30, sparsity=0.5, seed=9)
-        scheduled, cycles = backside.schedule_output_block(block)
-        levels = len(ConnectivityPattern().level_groups())
-        assert cycles == scheduled.scheduled_row_count * levels
-
-    def test_non_iterative_scheduler_is_single_cycle_per_row(self):
-        backside = BacksideScheduler(iterative=False)
-        block = make_stream(rows=30, sparsity=0.5, seed=10)
-        scheduled, cycles = backside.schedule_output_block(block)
-        assert cycles == scheduled.scheduled_row_count
-
-    def test_scheduled_form_decompresses_identically(self):
-        backside = BacksideScheduler()
-        block = make_stream(rows=30, sparsity=0.5, seed=11)
-        scheduled, _ = backside.schedule_output_block(block)
-        assert np.allclose(backside.pre_scheduler.decompress(scheduled), block)

@@ -1,115 +1,81 @@
-"""Tests for the tile models (grids of PEs with shared operands)."""
+"""Tests for the tile's lockstep design.
+
+A tile's PE rows each schedule their own B stream, but they share the
+A-side staging buffers down the columns, so every row advances through the
+dense schedule in lockstep.  The functional checks accumulate outputs from
+the selections of :meth:`repro.core.scheduler.HardwareScheduler.walk`;
+the cycle checks run the live kernel,
+:meth:`repro.core.accelerator.Accelerator.tile_cycles_batch`.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core.config import PEConfig, TileConfig
-from repro.core.tile import BaselineTile, TensorDashTile
+from repro.core.accelerator import Accelerator
+from repro.core.pe import TensorDashPE
+from repro.core.scheduler import HardwareScheduler
 
 
 def make_tile_streams(rows=4, columns=4, stream_rows=30, lanes=16, sparsity=0.6, seed=0):
+    """Dense A streams, one per column, and sparse B streams, one per row."""
     rng = np.random.default_rng(seed)
-    a_streams = [rng.random((stream_rows, lanes)) for _ in range(columns)]
-    b_streams = []
-    for _ in range(rows):
-        b = rng.random((stream_rows, lanes))
-        b[rng.random((stream_rows, lanes)) < sparsity] = 0.0
-        b_streams.append(b)
-    return a_streams, b_streams
+    a = rng.random((columns, stream_rows, lanes))
+    b = rng.random((rows, stream_rows, lanes))
+    b[rng.random((rows, stream_rows, lanes)) < sparsity] = 0.0
+    return a, b
 
 
-class TestBaselineTile:
-    def test_cycles_equal_stream_rows(self):
-        a_streams, b_streams = make_tile_streams(stream_rows=25)
-        result = BaselineTile().process(a_streams, b_streams)
-        assert result.cycles == 25
+def walk_tile_outputs(a, b):
+    """Accumulate each row's selections against every column's A stream."""
+    outputs = np.zeros((b.shape[0], a.shape[0]))
+    for position, schedules, _ in HardwareScheduler().walk(b != 0):
+        for row, schedule in enumerate(schedules):
+            for selection in schedule.selections:
+                if selection is not None:
+                    step, lane = selection
+                    stream_row = position + step
+                    outputs[row] += a[:, stream_row, lane] * b[row, stream_row, lane]
+    return outputs
 
-    def test_outputs_are_pairwise_dot_products(self):
-        a_streams, b_streams = make_tile_streams(stream_rows=12)
-        result = BaselineTile().process(a_streams, b_streams)
-        for row in range(4):
-            for column in range(4):
-                expected = float(np.sum(a_streams[column] * b_streams[row]))
-                assert result.outputs[row, column] == pytest.approx(expected)
 
-    def test_rejects_mismatched_stream_lengths(self):
-        a_streams, b_streams = make_tile_streams()
-        b_streams[0] = b_streams[0][:-1]
-        with pytest.raises(ValueError):
-            BaselineTile().process(a_streams, [b_streams[0]] * 4)
+def tile_cycles(b):
+    """Cycles of one lockstep group whose rows schedule the B streams ``b``."""
+    return int(Accelerator().tile_cycles_batch((b != 0)[None])[0])
 
 
 class TestTensorDashTile:
     def test_functional_equivalence_with_baseline(self):
-        a_streams, b_streams = make_tile_streams(sparsity=0.7, seed=1)
-        baseline = BaselineTile().process(a_streams, b_streams)
-        tensordash = TensorDashTile().process(a_streams, b_streams)
-        assert np.allclose(tensordash.outputs, baseline.outputs)
+        a, b = make_tile_streams(sparsity=0.7, seed=1)
+        dense = np.einsum("ctl,rtl->rc", a, b)
+        assert np.allclose(walk_tile_outputs(a, b), dense)
 
     def test_never_slower_than_baseline(self):
         for sparsity in (0.0, 0.4, 0.8):
-            a_streams, b_streams = make_tile_streams(sparsity=sparsity, seed=2)
-            baseline = BaselineTile().process(a_streams, b_streams)
-            tensordash = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
-            assert tensordash.cycles <= baseline.cycles
+            _, b = make_tile_streams(sparsity=sparsity, seed=2)
+            assert tile_cycles(b) <= b.shape[1]
 
     def test_dense_tile_matches_baseline_cycles(self):
-        a_streams, b_streams = make_tile_streams(sparsity=0.0)
-        result = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
-        assert result.cycles == a_streams[0].shape[0]
+        _, b = make_tile_streams(sparsity=0.0)
+        assert tile_cycles(b) == b.shape[1]
 
     def test_tile_slower_than_isolated_rows(self):
         """Rows wait for the densest row: tile cycles >= any single row's cycles."""
-        from repro.core.pe import TensorDashPE
-
-        a_streams, b_streams = make_tile_streams(sparsity=0.6, seed=3)
-        tile = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
-        pe = TensorDashPE()
-        per_row_cycles = [
-            pe.process(a_streams[0], b)[0].cycles for b in b_streams
-        ]
-        assert tile.cycles >= max(per_row_cycles)
+        _, b = make_tile_streams(sparsity=0.6, seed=3)
+        isolated = Accelerator().tile_cycles_batch((b != 0)[:, None])
+        assert tile_cycles(b) >= isolated.max()
 
     def test_single_row_tile_matches_pe(self):
-        from repro.core.pe import TensorDashPE
-
-        a_streams, b_streams = make_tile_streams(rows=1, columns=1, sparsity=0.7, seed=4)
-        tile = TensorDashTile(TileConfig(rows=1, columns=1)).process(
-            a_streams, b_streams, compute_outputs=False
-        )
-        pe_result, _ = TensorDashPE().process(a_streams[0], b_streams[0])
-        assert tile.cycles == pe_result.cycles
+        a, b = make_tile_streams(rows=1, columns=1, sparsity=0.7, seed=4)
+        pe_result, _ = TensorDashPE().process(a[0], b[0])
+        assert tile_cycles(b) == pe_result.cycles
 
     def test_more_rows_reduce_speedup(self):
         """The Fig. 17 trend: more rows per tile means more imbalance stalls."""
-        rng = np.random.default_rng(5)
-        stream_rows, lanes = 60, 16
-        b_streams = []
-        for _ in range(8):
-            b = rng.random((stream_rows, lanes))
-            b[rng.random((stream_rows, lanes)) < 0.7] = 0.0
-            b_streams.append(b)
-        a_stream = [rng.random((stream_rows, lanes))]
+        _, b = make_tile_streams(rows=8, columns=1, stream_rows=60, sparsity=0.7, seed=5)
+        effectual = b != 0
 
         def tile_speedup(num_rows):
-            tile = TensorDashTile(TileConfig(rows=num_rows, columns=1))
-            chunks = [b_streams[i : i + num_rows] for i in range(0, 8, num_rows)]
-            total_cycles = sum(
-                tile.process(a_stream, chunk, compute_outputs=False).cycles
-                for chunk in chunks
-            )
-            baseline = stream_rows * len(chunks)
-            return baseline / total_cycles
+            groups = effectual.reshape(8 // num_rows, num_rows, *effectual.shape[1:])
+            total_cycles = Accelerator().tile_cycles_batch(groups).sum()
+            return groups.shape[0] * groups.shape[2] / total_cycles
 
         assert tile_speedup(1) >= tile_speedup(4) >= tile_speedup(8) - 1e-9
-
-    def test_utilization_and_stalls_reported(self):
-        a_streams, b_streams = make_tile_streams(sparsity=0.8, seed=6)
-        result = TensorDashTile().process(a_streams, b_streams, compute_outputs=False)
-        assert 0.0 < result.utilization <= 1.0
-        assert result.stall_cycles <= result.cycles
-
-    def test_speedup_over_baseline_helper(self):
-        a_streams, b_streams = make_tile_streams(sparsity=0.7, seed=7)
-        speedup = TensorDashTile().speedup_over_baseline(a_streams, b_streams)
-        assert 1.0 <= speedup <= 3.0

@@ -1,6 +1,6 @@
 """Documentation tests: the README and ``docs/`` cannot silently rot.
 
-Four enforcement layers:
+Six enforcement layers:
 
 * every relative markdown link in README.md and ``docs/*.md`` must point
   at a file that exists;
@@ -10,10 +10,15 @@ Four enforcement layers:
 * every ``repro`` command line inside fenced ``bash`` blocks must parse
   against the real CLI — a renamed flag or removed subcommand fails here
   even though the commands are not executed;
-* every module under ``src/repro`` must carry a module docstring.
+* every module under ``src/repro`` must carry a module docstring;
+* every ``repro.`` target of a ``:mod:``/``:class:``/``:func:``/``:meth:``/
+  ``:attr:``/``:data:`` role in ``src/repro`` must import;
+* every dotted ``repro.`` name in the documentation must import, and every
+  ``*.py`` file it names must exist in the repository.
 """
 
 import ast
+import importlib
 import io
 import re
 import shlex
@@ -149,3 +154,60 @@ class TestModuleDocstrings:
             if not ast.get_docstring(tree):
                 missing.append(str(path.relative_to(REPO_ROOT)))
         assert not missing, f"modules without a docstring: {missing}"
+
+
+#: Cross-reference roles whose targets name Python objects.
+_ROLE = re.compile(r":(?:mod|class|func|meth|attr|data):`([^`]*)`")
+#: A dotted ``repro.`` name in prose, not part of a path or a longer name.
+_DOTTED = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
+#: A ``*.py`` file name or path in prose.
+_PY_FILE = re.compile(r"(?<![\w/.-])[\w./-]*\w\.py\b")
+
+
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` is an importable module plus attribute lookups."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+class TestCrossReferences:
+    def test_source_role_targets_resolve(self):
+        broken = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            text = path.read_text()
+            for match in _ROLE.finditer(text):
+                target = match.group(1)
+                if target.endswith(">"):                 # :role:`title <target>`
+                    target = target[target.rindex("<") + 1 : -1]
+                target = target.lstrip("~!")
+                if target.startswith("repro.") and not _resolves(target):
+                    line = text.count("\n", 0, match.start()) + 1
+                    broken.append(f"{path.relative_to(REPO_ROOT)}:{line}: {target}")
+        assert not broken, f"role target(s) that do not import: {broken}"
+
+    def test_doc_names_and_files_resolve(self):
+        repo_files = [
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in REPO_ROOT.rglob("*.py")
+            if not any(part.startswith(".") for part in path.relative_to(REPO_ROOT).parts)
+        ]
+        broken = []
+        for path in DOC_FILES:
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                for name in _DOTTED.findall(line):
+                    if not _resolves(name):
+                        broken.append(f"{_doc_id(path)}:{number}: {name}")
+                for name in _PY_FILE.findall(line):
+                    if not any(f == name or f.endswith("/" + name) for f in repo_files):
+                        broken.append(f"{_doc_id(path)}:{number}: {name}")
+        assert not broken, f"documented name(s) that do not resolve: {broken}"

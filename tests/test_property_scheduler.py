@@ -2,7 +2,8 @@
 
 These cover the correctness properties the paper's hardware relies on:
 
-* every effectual pair is consumed exactly once over a stream,
+* every effectual pair is consumed exactly once over a stream, and by
+  its own PE row over a lockstep group's walk,
 * skipping ineffectual pairs never changes the accumulated output,
 * the schedule is valid (no pair selected twice within a step, every
   selection points at a pending effectual pair),
@@ -141,6 +142,24 @@ class TestLockstepKernelProperties:
             for group in groups
         ]
         assert kernel.tile_cycles(units, advance_limit=limit).tolist() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_batches())
+    def test_walk_claims_each_effectual_slot_once(self, batch):
+        """Across a lockstep walk, every row claims each of its effectual
+        slots exactly once and nothing else."""
+        pattern, units, limit = batch
+        oracle = HardwareScheduler(pattern)
+        for groups in units:
+            for group in groups:
+                claims = [
+                    (row, position + step, lane)
+                    for position, schedules, _ in oracle.walk(group, advance_limit=limit)
+                    for row, schedule in enumerate(schedules)
+                    for step, lane in filter(None, schedule.selections)
+                ]
+                assert len(claims) == len(set(claims))
+                assert sorted(claims) == [tuple(slot) for slot in np.argwhere(group)]
 
 
 class TestPEProperties:

@@ -1,65 +1,11 @@
-"""Tests for the potential-speedup analytics and the layer cycle simulator."""
+"""Tests for the layer cycle simulator."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import AcceleratorConfig, PEConfig
 from repro.simulation.cycle_sim import LayerSimulator
-from repro.simulation.speedup import (
-    combine_speedups,
-    operation_sparsity,
-    potential_speedup,
-    potential_speedup_from_sparsity,
-    tensor_sparsity,
-)
 from repro.training.tracing import LayerTrace
-
-
-class TestSpeedupAnalytics:
-    def test_tensor_sparsity(self):
-        assert tensor_sparsity(np.array([0, 1, 0, 1])) == pytest.approx(0.5)
-        assert tensor_sparsity(np.zeros(0)) == 0.0
-
-    def test_potential_speedup_from_sparsity(self):
-        assert potential_speedup_from_sparsity(0.0) == pytest.approx(1.0)
-        assert potential_speedup_from_sparsity(0.5) == pytest.approx(2.0)
-        assert potential_speedup_from_sparsity(0.9) == pytest.approx(10.0)
-        assert potential_speedup_from_sparsity(1.0) == float("inf")
-
-    def test_potential_speedup_from_sparsity_validates(self):
-        with pytest.raises(ValueError):
-            potential_speedup_from_sparsity(1.5)
-
-    def test_operation_sparsity_targets(self):
-        activations = np.array([0.0, 1.0, 1.0, 1.0])     # 25% sparse
-        gradients = np.array([0.0, 0.0, 0.0, 1.0])       # 75% sparse
-        weights = np.ones(4)
-        assert operation_sparsity("AxW", activations, weights, gradients) == pytest.approx(0.25)
-        assert operation_sparsity("AxG", activations, weights, gradients) == pytest.approx(0.75)
-        assert operation_sparsity("WxG", activations, weights, gradients) == pytest.approx(0.75)
-
-    def test_operation_sparsity_unknown_operation(self):
-        with pytest.raises(ValueError):
-            operation_sparsity("XxY", None, None, None)
-
-    def test_potential_speedup_combines_three_ops(self):
-        activations = np.array([0.0, 1.0])
-        gradients = np.array([0.0, 1.0])
-        result = potential_speedup(activations, np.ones(2), gradients)
-        assert result["AxW"] == pytest.approx(2.0)
-        assert result["AxG"] == pytest.approx(2.0)
-        assert result["WxG"] == pytest.approx(2.0)
-        assert result["Total"] == pytest.approx(2.0)
-
-    def test_combine_speedups(self):
-        per_operation = {
-            "AxW": {"baseline": 100, "tensordash": 50},
-            "AxG": {"baseline": 100, "tensordash": 100},
-        }
-        combined = combine_speedups(per_operation)
-        assert combined["AxW"] == pytest.approx(2.0)
-        assert combined["AxG"] == pytest.approx(1.0)
-        assert combined["Total"] == pytest.approx(200 / 150)
 
 
 def make_conv_trace(activation_sparsity=0.5, gradient_sparsity=0.6, seed=0):
