@@ -15,7 +15,7 @@ from repro.analysis.reporting import format_table
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig
 from repro.core.dataflow import TileWorkPartitioner
-from repro.simulation.streams import StreamExtractor
+from repro.simulation.streams import operation_streams
 
 ABLATION_MODELS = ("alexnet", "squeezenet", "densenet121")
 
@@ -24,7 +24,6 @@ def compute_multitile():
     config = AcceleratorConfig()
     accelerator = Accelerator(config)
     partitioner = TileWorkPartitioner(config)
-    extractor = StreamExtractor(tile_rows=config.tile.rows, max_groups=128)
     rows = []
     for model_name in ABLATION_MODELS:
         trace = get_trace(model_name).final_epoch()
@@ -34,11 +33,11 @@ def compute_multitile():
         for layer in trace.layers:
             if layer.activation_mask is None or layer.layer_type != "conv":
                 continue
-            streams = extractor.conv_streams(
-                layer.activation_mask, None,
-                kernel=layer.kernel, stride=layer.stride, padding=layer.padding,
-            )["AxW"]
-            groups = streams.groups
+            groups = operation_streams(
+                "AxW", layer.activation_mask, None,
+                layer.kernel, layer.stride, layer.padding,
+                config.tile.rows, config.pe.lanes, max_groups=128,
+            ).groups
             aggregate = accelerator.run_operation_batched("AxW", groups)
             aggregate_base += aggregate.baseline_cycles
             aggregate_td += aggregate.tensordash_cycles

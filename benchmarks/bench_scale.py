@@ -56,10 +56,7 @@ OVERHEAD_GATE = 0.05
 
 
 def _engine(config: AcceleratorConfig) -> SimulationEngine:
-    return SimulationEngine(
-        config, max_groups=MAX_GROUPS,
-        max_batch=TRACE_MAX_BATCH, memory_cache=True,
-    )
+    return SimulationEngine(config, max_groups=MAX_GROUPS, memory_cache=True)
 
 
 def _best_of(callable_, repeats: int = 2) -> float:
@@ -90,15 +87,13 @@ def main() -> int:
     # pass pays the simulation, so each wiring is timed cold.
     def plain_pass():
         runner = ExperimentRunner(
-            config, max_groups=MAX_GROUPS, max_batch=TRACE_MAX_BATCH,
-            engine=_engine(config),
+            config, max_groups=MAX_GROUPS, engine=_engine(config)
         )
         plain_pass.result = runner.run_epoch(MODEL, epoch)
 
     def scale_pass():
         runner = ScaleRunner(
-            config, engine=_engine(config), max_groups=MAX_GROUPS,
-            max_batch=TRACE_MAX_BATCH,
+            config, engine=_engine(config), max_groups=MAX_GROUPS
         )
         scale_pass.report = runner.run(
             epoch, workload=MODEL, num_devices=1, partition="data",
@@ -135,8 +130,7 @@ def main() -> int:
 
     # -- the scaling curve ---------------------------------------------
     curve_runner = ScaleRunner(
-        config, engine=_engine(config), max_groups=MAX_GROUPS,
-        max_batch=TRACE_MAX_BATCH,
+        config, engine=_engine(config), max_groups=MAX_GROUPS
     )
     curve = {}
     rows = []

@@ -433,20 +433,8 @@ class Session:
             request.batch_size, self._seed_for(request),
             trace_max_batch=request.trace_max_batch,
         )
-        # The simulator's own batch clip must not undo a raised trace
-        # cap, or data-parallel shards collapse back onto the default.
-        from repro.training.trainer import DEFAULT_TRACE_MAX_BATCH
-
-        max_batch = (
-            DEFAULT_TRACE_MAX_BATCH
-            if request.trace_max_batch is None
-            else max(DEFAULT_TRACE_MAX_BATCH, request.trace_max_batch)
-        )
         runner = ScaleRunner(
-            config=config,
-            engine=self.engine,
-            max_groups=request.max_groups,
-            max_batch=max_batch,
+            config=config, engine=self.engine, max_groups=request.max_groups
         )
         report = runner.run(
             trace.final_epoch(),

@@ -8,7 +8,7 @@ runs free.  Entries are keyed by a SHA-256 over two fingerprints:
   :class:`~repro.core.config.AcceleratorConfig` (including the
   memory-hierarchy bandwidth/capacity parameters, so results produced
   under different hierarchies can never collide) plus the stream-sampling
-  parameters (``max_groups``, ``max_batch``) that shape the simulated work;
+  parameter (``max_groups``) that shapes the simulated work;
 * the **trace fingerprint** — the layer's hyper-parameters and the raw
   bytes of its boolean operand masks.
 
@@ -89,7 +89,7 @@ def _update_mask(digest, name: str, mask: Optional[np.ndarray]) -> None:
     digest.update(arr.tobytes())
 
 
-def config_fingerprint(config, max_groups, max_batch) -> str:
+def config_fingerprint(config, max_groups) -> str:
     """Fingerprint of everything configuration-side that shapes a result.
 
     ``AcceleratorConfig`` is a frozen dataclass tree, so its ``repr`` is a
@@ -98,7 +98,7 @@ def config_fingerprint(config, max_groups, max_batch) -> str:
     digest = _hasher()
     digest.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
     digest.update(repr(config).encode())
-    digest.update(f"|max_groups={max_groups}|max_batch={max_batch}".encode())
+    digest.update(f"|max_groups={max_groups}".encode())
     return digest.hexdigest()
 
 

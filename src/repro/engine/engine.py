@@ -148,13 +148,13 @@ class SimulationEngine:
         disk layer.  Entries are keyed by (config hash, trace hash), so
         any change to the accelerator configuration — including the
         memory-hierarchy bandwidth/capacity parameters — the sampling
-        parameters or the traced operands invalidates them structurally;
+        parameter or the traced operands invalidates them structurally;
         results simulated under different hierarchies can never collide.
         Several processes may point at one directory: whatever one of
         them stores, the others load instead of re-simulating.
-    max_groups / max_batch:
-        Default stream-sampling parameters, forwarded to the layer
-        simulator (and folded into the cache key).  Overridable per call.
+    max_groups:
+        Default stream-sampling cap, forwarded to the layer simulator
+        (and folded into the cache key).  Overridable per call.
     memory_cache:
         Keep every result in an in-process memo keyed identically to the
         disk cache.  This is what makes a warm :class:`repro.api.Session`
@@ -168,12 +168,10 @@ class SimulationEngine:
         config: Optional[AcceleratorConfig] = None,
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 256,
-        max_batch: Optional[int] = 4,
         memory_cache: bool = False,
     ):
         self.config = config or AcceleratorConfig()
         self.max_groups = max_groups
-        self.max_batch = max_batch
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self._memo: Optional[Dict[str, LayerResult]] = {} if memory_cache else None
         self._simulators: Dict[str, LayerSimulator] = {}
@@ -187,18 +185,14 @@ class SimulationEngine:
         self,
         config: Optional[AcceleratorConfig],
         max_groups: Optional[int],
-        max_batch: Optional[int],
     ) -> Tuple[LayerSimulator, str]:
         """The (simulator, config fingerprint) pair for one call's inputs."""
         config = self.config if config is None else config
         max_groups = self.max_groups if max_groups is None else max_groups
-        max_batch = self.max_batch if max_batch is None else max_batch
-        fingerprint = config_fingerprint(config, max_groups, max_batch)
+        fingerprint = config_fingerprint(config, max_groups)
         simulator = self._simulators.get(fingerprint)
         if simulator is None:
-            simulator = LayerSimulator(
-                config, max_groups=max_groups, max_batch=max_batch
-            )
+            simulator = LayerSimulator(config, max_groups=max_groups)
             self._simulators[fingerprint] = simulator
         return simulator, fingerprint
 
@@ -206,10 +200,9 @@ class SimulationEngine:
         self,
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = None,
-        max_batch: Optional[int] = None,
     ) -> LayerSimulator:
         """The layer simulator bound to one configuration (built once)."""
-        simulator, _ = self._resolve(config, max_groups, max_batch)
+        simulator, _ = self._resolve(config, max_groups)
         return simulator
 
     @contextmanager
@@ -271,14 +264,13 @@ class SimulationEngine:
         traces: Sequence,
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = None,
-        max_batch: Optional[int] = None,
     ) -> List[LayerResult]:
         """Simulate every traced layer, consulting the cache stack first.
 
-        ``config`` / ``max_groups`` / ``max_batch`` default to the
-        engine's construction-time values; passing them lets one engine
-        serve many accelerator configurations (each gets its own
-        simulator and cache namespace, all sharing the memo and counters).
+        ``config`` / ``max_groups`` default to the engine's
+        construction-time values; passing them lets one engine serve many
+        accelerator configurations (each gets its own simulator and cache
+        namespace, all sharing the memo and counters).
 
         Cache hits are loaded; misses are batched into one
         :meth:`LayerSimulator.simulate_layers` call (so the kernel fuses
@@ -286,7 +278,7 @@ class SimulationEngine:
         back in trace order.
         """
         work = traced_layers(traces)
-        simulator, config_fp = self._resolve(config, max_groups, max_batch)
+        simulator, config_fp = self._resolve(config, max_groups)
         tracer = get_tracer()
         if self.cache is None and self._memo is None:
             with tracer.span("engine.simulate_layers", layers=len(work)):

@@ -366,14 +366,6 @@ class StudyRunner:
             )
         return self._scenario_traces[key]
 
-    def _max_batch(self) -> int:
-        """Simulation-time batch clip honouring a raised trace cap."""
-        from repro.training.trainer import DEFAULT_TRACE_MAX_BATCH
-
-        if self.spec.trace_max_batch is None:
-            return DEFAULT_TRACE_MAX_BATCH
-        return max(DEFAULT_TRACE_MAX_BATCH, self.spec.trace_max_batch)
-
     def _runner_for(self, point: DesignPoint) -> ExperimentRunner:
         config = point.config()
         key = repr(config)
@@ -381,7 +373,6 @@ class StudyRunner:
             self._runners[key] = ExperimentRunner(
                 config,
                 max_groups=self.spec.max_groups,
-                max_batch=self._max_batch(),
                 cache_dir=self.cache_dir,
                 engine=self.engine,
             )
@@ -456,7 +447,6 @@ class StudyRunner:
             config=point.config(),
             engine=runner.engine,
             max_groups=self.spec.max_groups,
-            max_batch=self._max_batch(),
         )
         report = scale_runner.run(
             self._scenario_trace(point.workload, point.scenario),

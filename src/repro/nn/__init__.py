@@ -20,15 +20,15 @@ the math.
 from repro.nn.module import Module, Parameter
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import ReLU, Sigmoid, Tanh, LeakyReLU
-from repro.nn.layers.normalization import BatchNorm2D, BatchNorm1D, LayerNorm
+from repro.nn.layers.activation import ReLU
+from repro.nn.layers.normalization import BatchNorm2D
 from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
 from repro.nn.layers.shape import Flatten, Concat, Add
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
 from repro.nn.model import Sequential, Graph
-from repro.nn.losses import CrossEntropyLoss, MSELoss, softmax
-from repro.nn.optim import SGD, MomentumSGD, Adam
+from repro.nn.losses import CrossEntropyLoss, softmax
+from repro.nn.optim import SGD, MomentumSGD
 
 __all__ = [
     "Module",
@@ -36,12 +36,7 @@ __all__ = [
     "Conv2D",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "LeakyReLU",
     "BatchNorm2D",
-    "BatchNorm1D",
-    "LayerNorm",
     "MaxPool2D",
     "AvgPool2D",
     "GlobalAvgPool2D",
@@ -53,9 +48,7 @@ __all__ = [
     "Sequential",
     "Graph",
     "CrossEntropyLoss",
-    "MSELoss",
     "softmax",
     "SGD",
     "MomentumSGD",
-    "Adam",
 ]

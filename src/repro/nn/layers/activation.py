@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.module import Module
 
 
@@ -31,59 +30,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
         return np.where(self._mask, grad_out, 0.0).astype(grad_out.dtype, copy=False)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with a small negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01, name: Optional[str] = None):
-        super().__init__(name=name)
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x).astype(
-            x.dtype, copy=False
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward() called before forward()")
-        return np.where(
-            self._mask, grad_out, self.negative_slope * grad_out
-        ).astype(grad_out.dtype, copy=False)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = F.sigmoid(x)
-        return self._output
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward() called before forward()")
-        return grad_out * self._output * (1.0 - self._output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward() called before forward()")
-        return grad_out * (1.0 - self._output * self._output)

@@ -84,107 +84,3 @@ class BatchNorm2D(Module):
         ) / std_b
         # mean over (0,2,3) uses m elements per channel; formula already scaled
         return grad_input.astype(np.float32, copy=False)
-
-
-class BatchNorm1D(Module):
-    """Batch normalisation over ``(N, F)`` tensors, per feature."""
-
-    def __init__(
-        self,
-        num_features: int,
-        eps: float = 1e-5,
-        momentum: float = 0.1,
-        name: Optional[str] = None,
-    ):
-        super().__init__(name=name)
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = self.register_parameter(
-            "gamma", Parameter(init.ones((num_features,)), name=f"{self.name}.gamma")
-        )
-        self.beta = self.register_parameter(
-            "beta", Parameter(init.zeros((num_features,)), name=f"{self.name}.beta")
-        )
-        self.running_mean = np.zeros(num_features, dtype=np.float32)
-        self.running_var = np.ones(num_features, dtype=np.float32)
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            ).astype(np.float32)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            ).astype(np.float32)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean) / std
-        self._cache = (x_hat, std)
-        return (self.gamma.data * x_hat + self.beta.data).astype(np.float32, copy=False)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward() called before forward()")
-        x_hat, std = self._cache
-
-        grad_gamma = (grad_out * x_hat).sum(axis=0)
-        grad_beta = grad_out.sum(axis=0)
-        self.gamma.accumulate_grad(grad_gamma)
-        self.beta.accumulate_grad(grad_beta)
-
-        grad_xhat = grad_out * self.gamma.data
-        grad_input = (
-            grad_xhat
-            - grad_xhat.mean(axis=0, keepdims=True)
-            - x_hat * (grad_xhat * x_hat).mean(axis=0, keepdims=True)
-        ) / std
-        return grad_input.astype(np.float32, copy=False)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension of ``(N, F)`` tensors."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, name: Optional[str] = None):
-        super().__init__(name=name)
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = self.register_parameter(
-            "gamma", Parameter(init.ones((num_features,)), name=f"{self.name}.gamma")
-        )
-        self.beta = self.register_parameter(
-            "beta", Parameter(init.zeros((num_features,)), name=f"{self.name}.beta")
-        )
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean) / std
-        self._cache = (x_hat, std)
-        return (self.gamma.data * x_hat + self.beta.data).astype(np.float32, copy=False)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward() called before forward()")
-        x_hat, std = self._cache
-
-        grad_gamma = (grad_out * x_hat).sum(axis=tuple(range(grad_out.ndim - 1)))
-        grad_beta = grad_out.sum(axis=tuple(range(grad_out.ndim - 1)))
-        self.gamma.accumulate_grad(grad_gamma)
-        self.beta.accumulate_grad(grad_beta)
-
-        grad_xhat = grad_out * self.gamma.data
-        grad_input = (
-            grad_xhat
-            - grad_xhat.mean(axis=-1, keepdims=True)
-            - x_hat * (grad_xhat * x_hat).mean(axis=-1, keepdims=True)
-        ) / std
-        return grad_input.astype(np.float32, copy=False)

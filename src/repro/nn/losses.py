@@ -41,23 +41,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error against dense targets."""
-
-    def __init__(self):
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        self._cache = (predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward() called before forward()")
-        predictions, targets = self._cache
-        return (2.0 * (predictions - targets) / predictions.size).astype(np.float32)
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)

@@ -2,8 +2,8 @@
 
 The paper trains with standard stochastic gradient descent (Eq. 10: per
 mini-batch accumulation of weight gradients, scaled by the learning rate);
-momentum SGD and Adam are included because the pruning-during-training
-methods (sparse momentum in particular) depend on them.
+momentum SGD is included because the pruning-during-training methods
+(sparse momentum in particular) depend on it.
 """
 
 from __future__ import annotations
@@ -78,37 +78,3 @@ class MomentumSGD(Optimizer):
         if velocity is None:
             return np.zeros_like(parameter.data)
         return velocity
-
-
-class Adam(Optimizer):
-    """Adam optimiser (used by the sequence-model workloads)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.step_count = 0
-        self.m: Dict[int, np.ndarray] = {}
-        self.v: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        self.step_count += 1
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            m = self.m.get(id(parameter), np.zeros_like(parameter.data))
-            v = self.v.get(id(parameter), np.zeros_like(parameter.data))
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad * grad
-            self.m[id(parameter)] = m
-            self.v[id(parameter)] = v
-            m_hat = m / (1 - self.beta1 ** self.step_count)
-            v_hat = v / (1 - self.beta2 ** self.step_count)
-            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -77,10 +77,9 @@ class ScaleRunner:
     cache_dir:
         Engine knob for the self-built engine; ignored when ``engine``
         is given.
-    max_groups / max_batch:
-        Stream-sampling parameters, forwarded per call so shard
-        simulations share cache keys with equally-parameterised
-        single-device runs.
+    max_groups:
+        Stream-sampling cap, forwarded per call so shard simulations
+        share cache keys with equally-parameterised single-device runs.
     """
 
     def __init__(
@@ -89,7 +88,6 @@ class ScaleRunner:
         engine: Optional[SimulationEngine] = None,
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 64,
-        max_batch: Optional[int] = 4,
     ):
         self.config = config or AcceleratorConfig()
         if engine is None:
@@ -97,12 +95,10 @@ class ScaleRunner:
                 self.config,
                 cache_dir=cache_dir,
                 max_groups=max_groups,
-                max_batch=max_batch,
                 memory_cache=True,
             )
         self.engine = engine
         self.max_groups = max_groups
-        self.max_batch = max_batch
 
     # ------------------------------------------------------------------
     def _simulate(self, layers) -> List:
@@ -110,10 +106,7 @@ class ScaleRunner:
         if not layers:
             return []
         return self.engine.simulate_layers(
-            layers,
-            config=self.config,
-            max_groups=self.max_groups,
-            max_batch=self.max_batch,
+            layers, config=self.config, max_groups=self.max_groups
         )
 
     @staticmethod

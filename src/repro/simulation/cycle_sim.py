@@ -34,7 +34,6 @@ leaves every cycle count bit-identical to the compute-only model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,16 +41,8 @@ import numpy as np
 from repro.core.accelerator import Accelerator, OperationResult
 from repro.core.config import AcceleratorConfig
 from repro.memory.traffic import MemoryTraffic, TrafficCounter
-from repro.simulation.streams import OperandStreams, StreamExtractor
+from repro.simulation.streams import OPERATIONS, OperandStreams, operation_streams
 from repro.training.tracing import LayerTrace
-
-
-class OperationKind(str, Enum):
-    """The three per-layer training operations."""
-
-    FORWARD = "AxW"
-    INPUT_GRADIENT = "AxG"
-    WEIGHT_GRADIENT = "WxG"
 
 
 @dataclass
@@ -126,18 +117,10 @@ class LayerSimulator:
         self,
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = 256,
-        max_batch: Optional[int] = 4,
     ):
         self.config = config or AcceleratorConfig()
         self.accelerator = Accelerator(self.config)
         self.max_groups = max_groups
-        self.max_batch = max_batch
-        self.extractor = StreamExtractor(
-            tile_rows=self.config.tile.rows,
-            lanes=self.config.pe.lanes,
-            max_groups=max_groups,
-            max_batch=max_batch,
-        )
         value_bytes = self.config.pe.value_bits // 8
         self.traffic_counter = TrafficCounter(
             value_bytes=value_bytes,
@@ -153,19 +136,24 @@ class LayerSimulator:
         then hand the raw per-operation results back to
         :meth:`finalize_layer`.
         """
-        if trace.activation_mask is None:
+        activations = trace.activation_mask
+        gradients = trace.output_gradient_mask
+        if activations is None:
             return {}
-        if trace.layer_type == "conv":
-            return self.extractor.conv_streams(
-                trace.activation_mask,
-                trace.output_gradient_mask,
-                kernel=trace.kernel,
-                stride=trace.stride,
-                padding=trace.padding,
+        if trace.layer_type == "fc":
+            # The 1x1 convolution: features become channels.
+            activations = activations.reshape(activations.shape[0], -1, 1, 1)
+            if gradients is not None:
+                gradients = gradients.reshape(gradients.shape[0], -1, 1, 1)
+        operations = OPERATIONS if gradients is not None else ("AxW",)
+        return {
+            operation: operation_streams(
+                operation, activations, gradients,
+                trace.kernel, trace.stride, trace.padding,
+                self.config.tile.rows, self.config.pe.lanes, self.max_groups,
             )
-        return self.extractor.fc_streams(
-            trace.activation_mask, trace.output_gradient_mask
-        )
+            for operation in operations
+        }
 
     def _traffic_for_trace(self, trace: LayerTrace) -> Dict[str, MemoryTraffic]:
         """Approximate memory traffic per operation from the traced masks."""

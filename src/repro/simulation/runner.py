@@ -31,11 +31,8 @@ from repro.core.config import AcceleratorConfig
 from repro.energy.accounting import EfficiencyReport, EnergyAccountant
 from repro.memory.traffic import MemoryTraffic
 from repro.simulation.cycle_sim import LayerResult, traced_layers
+from repro.simulation.streams import OPERATIONS
 from repro.training.tracing import EpochTrace, TrainingTrace
-
-
-#: The three operations in the order the paper's figures list them.
-OPERATIONS = ("AxW", "AxG", "WxG")
 
 
 @dataclass
@@ -167,7 +164,6 @@ class ExperimentRunner:
         self,
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = 256,
-        max_batch: Optional[int] = 4,
         cache_dir: Optional[str] = None,
         engine=None,
     ):
@@ -177,21 +173,15 @@ class ExperimentRunner:
 
         self.config = config or AcceleratorConfig()
         self.max_groups = max_groups
-        self.max_batch = max_batch
         if engine is None:
             # This runner owns its engine (the classic one-shot wiring).
             engine = SimulationEngine(
-                self.config,
-                cache_dir=cache_dir,
-                max_groups=max_groups,
-                max_batch=max_batch,
+                self.config, cache_dir=cache_dir, max_groups=max_groups
             )
         self.engine = engine
         # A shared engine keeps one simulator per configuration; asking
         # for ours up front also validates the config once, eagerly.
-        self.simulator = engine.simulator_for(
-            self.config, max_groups=max_groups, max_batch=max_batch
-        )
+        self.simulator = engine.simulator_for(self.config, max_groups=max_groups)
         self.accountant = EnergyAccountant(self.config)
 
     @property
@@ -203,8 +193,7 @@ class ExperimentRunner:
     def run_epoch(self, model_name: str, epoch_trace: EpochTrace) -> ModelResult:
         """Simulate one epoch's traced batch for a model."""
         layer_results = self.engine.simulate_layers(
-            epoch_trace.layers, config=self.config,
-            max_groups=self.max_groups, max_batch=self.max_batch,
+            epoch_trace.layers, config=self.config, max_groups=self.max_groups
         )
         return ModelResult(
             model_name=model_name,
@@ -237,8 +226,7 @@ class ExperimentRunner:
             )
             flat.extend(work)
         results = self.engine.simulate_layers(
-            flat, config=self.config,
-            max_groups=self.max_groups, max_batch=self.max_batch,
+            flat, config=self.config, max_groups=self.max_groups
         )
         return [
             ModelResult(

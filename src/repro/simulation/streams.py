@@ -1,35 +1,60 @@
-"""Operand-stream extraction for the three training convolutions.
+"""Operand streams of the three training convolutions, from their loop nests.
 
 The accelerator consumes *dense-schedule streams*: for every output value,
 the reduction over its receptive field is laid out as rows of ``lanes``
 values (16 consecutive channel values per row, per the Section 3.4 tensor
 layout).  The hardware scheduler's behaviour depends only on which of those
-values are zero, so this module extracts boolean streams from the traced
-operand tensors and groups them into tile-row work groups:
+values are zero, so each operation's stream is the boolean non-zero mask of
+its targeted (B-side) operand, read in the order of that operation's loop
+nest.  With ``A`` the ``(N, C, H, W)`` input activations, ``GO`` the
+``(N, Co, Ho, Wo)`` output gradients, kernel ``k``, stride ``s`` and
+padding ``p``, the three loop nests are:
 
-* ``O = W * A``   — the targeted (B-side) operand is A; one stream per
-  output window, ``tile_rows`` windows per group.
-* ``GA = GO * W`` — the targeted operand is GO (dilated by the stride,
-  padded for a full convolution); one stream per input-gradient position.
-* ``GW = GO * A`` — the targeted operand is whichever of GO or A is
-  sparser for the layer (the paper's policy); one stream per output filter
-  (GO) or input channel (A), reduced over the batch and spatial positions.
+* ``O = W * A`` (AxW) targets A.  One stream per ``(n, oh, ow)``; the
+  reduction runs over ``(kh, kw, c)``, ``c`` innermost, and reads
+  ``A[n, c, oh*s + kh - p, ow*s + kw - p]``, zero outside the input.
+* ``GA = GO * W`` (AxG) targets GO.  GO is dilated by ``s`` to
+  ``GOd`` of height ``Hd = (Ho - 1)*s + 1`` (width likewise) and the
+  convolution is "full": one stream per ``(n, y, x)`` with
+  ``y < Hd + k - 1`` and ``x < Wd + k - 1``; the reduction runs over
+  ``(kh, kw, co)`` and reads ``GOd[n, co, y + kh - (k-1), x + kw - (k-1)]``,
+  zero outside.
+* ``GW = GO * A`` (WxG) targets whichever of GO and A is sparser (GO on a
+  tie; the paper's policy).  One stream per channel of that operand; the
+  reduction runs over ``(n, h, w)``.
 
-Streams can be subsampled (``max_groups``) to keep full-model simulation
-tractable; sampling is deterministic (evenly spaced) so results are
-reproducible, and speedups remain ratios over identical work for baseline
-and TensorDash.  The cycle simulator scales sampled cycle counts back up
-by :attr:`OperandStreams.sampling_factor` before consulting the memory
+A fully-connected layer is the 1x1 case:
+:meth:`~repro.simulation.cycle_sim.LayerSimulator.streams_for_trace`
+reshapes its masks to ``(N, -1, 1, 1)``, whatever their rank, and the
+trace collector records ``k = 1, s = 1, p = 0`` for it, so the same
+loop nests give one stream per sample (AxW, AxG) and one per feature,
+reduced over the batch (WxG).
+
+All three operations share one tail: pad each stream to whole rows of
+``lanes`` values, pack ``tile_rows`` streams per work group (the last
+group padded with all-zero streams, mirroring fragmentation at layer
+edges) and keep an evenly spaced sample of at most ``max_groups`` groups.
+Sampling is deterministic, so results are reproducible, and speedups
+remain ratios over identical work for baseline and TensorDash.  The cycle
+simulator scales sampled cycle counts back up by
+:attr:`OperandStreams.sampling_factor` before consulting the memory
 hierarchy, so the bandwidth constraint always compares full-operation
 compute cycles against the (unsampled) full-operation byte counts.
+
+The batch is not clipped here: the trace collector
+(:class:`repro.training.tracing.TraceCollector`) is the one batch clip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
+
+
+#: The three operations in the order the paper's figures list them.
+OPERATIONS = ("AxW", "AxG", "WxG")
 
 
 @dataclass
@@ -62,40 +87,6 @@ class OperandStreams:
         if self.sampled_groups == 0:
             return 1.0
         return self.total_groups / self.sampled_groups
-
-
-
-def _pad_lanes(vectors: np.ndarray, lanes: int) -> np.ndarray:
-    """Pad the last axis of ``(num, length)`` vectors to a multiple of ``lanes``
-    and reshape to ``(num, rows, lanes)`` (padding positions are zero and thus
-    ineffectual)."""
-    num, length = vectors.shape
-    rows = -(-length // lanes)
-    padded = np.zeros((num, rows * lanes), dtype=bool)
-    padded[:, :length] = vectors
-    return padded.reshape(num, rows, lanes)
-
-
-def _group_rows(streams: np.ndarray, tile_rows: int) -> np.ndarray:
-    """Group ``(num, rows, lanes)`` streams into ``(groups, tile_rows, rows, lanes)``.
-
-    Streams that do not fill the last group are padded with all-zero
-    (maximally sparse) streams, mirroring fragmentation at layer edges.
-    """
-    num, rows, lanes = streams.shape
-    groups = -(-num // tile_rows)
-    padded = np.zeros((groups * tile_rows, rows, lanes), dtype=bool)
-    padded[:num] = streams
-    return padded.reshape(groups, tile_rows, rows, lanes)
-
-
-def _sample_groups(groups: np.ndarray, max_groups: Optional[int]) -> Tuple[np.ndarray, int]:
-    """Deterministically subsample groups (evenly spaced)."""
-    total = groups.shape[0]
-    if max_groups is None or total <= max_groups:
-        return groups, total
-    indices = np.linspace(0, total - 1, max_groups).astype(np.int64)
-    return groups[indices], total
 
 
 def _dilate_spatial(mask: np.ndarray, stride: int) -> np.ndarray:
@@ -144,214 +135,48 @@ def _receptive_field_vectors(
     return np.ascontiguousarray(vectors)
 
 
-def forward_streams(
+def _zero_share(mask: np.ndarray) -> float:
+    return 1.0 - np.count_nonzero(mask) / max(mask.size, 1)
+
+
+def operation_streams(
+    operation: str,
     activation_mask: np.ndarray,
+    output_gradient_mask: Optional[np.ndarray],
     kernel: int,
     stride: int,
     padding: int,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
+    tile_rows: int,
+    lanes: int,
+    max_groups: Optional[int],
 ) -> OperandStreams:
-    """Streams for ``O = W * A``; sparsity is extracted from the activations.
+    """Grouped streams of one training convolution, per the loop nests above.
 
-    ``activation_mask`` is the boolean non-zero mask of the layer's input
-    activations, shaped ``(N, C, H, W)``.
+    Both masks are ``(N, C, H, W)`` booleans; ``output_gradient_mask``
+    is needed by AxG and WxG only.
     """
-    vectors = _receptive_field_vectors(activation_mask, kernel, stride, padding)
-    streams = _pad_lanes(vectors, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand="A")
-
-
-def input_gradient_streams(
-    output_gradient_mask: np.ndarray,
-    kernel: int,
-    stride: int,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
-) -> OperandStreams:
-    """Streams for ``GA = GO * W``; sparsity is extracted from the gradients.
-
-    The output gradients are dilated by the stride and the convolution is a
-    "full" convolution (padding ``kernel - 1``) over the reconstructed,
-    rotated filters — only the GO sparsity pattern matters for scheduling.
-    """
-    dilated = _dilate_spatial(output_gradient_mask, stride)
-    vectors = _receptive_field_vectors(dilated, kernel, stride=1, padding=kernel - 1)
-    streams = _pad_lanes(vectors, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand="GO")
-
-
-def weight_gradient_streams(
-    output_gradient_mask: np.ndarray,
-    activation_mask: np.ndarray,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
-) -> OperandStreams:
-    """Streams for ``GW = GO * A``.
-
-    The reduction for one weight gradient runs over the batch and the
-    output spatial positions.  Sparsity is extracted from GO or A,
-    whichever is sparser for this layer (the paper's policy); one stream
-    per filter (GO) or per input channel (A).
-    """
-    go_sparsity = 1.0 - np.count_nonzero(output_gradient_mask) / max(
-        output_gradient_mask.size, 1
-    )
-    a_sparsity = 1.0 - np.count_nonzero(activation_mask) / max(activation_mask.size, 1)
-    if go_sparsity >= a_sparsity:
-        targeted = output_gradient_mask
-        name = "GO"
+    if operation == "AxW":
+        targeted = "A"
+        vectors = _receptive_field_vectors(activation_mask, kernel, stride, padding)
+    elif operation == "AxG":
+        targeted = "GO"
+        dilated = _dilate_spatial(output_gradient_mask, stride)
+        vectors = _receptive_field_vectors(dilated, kernel, 1, kernel - 1)
+    elif operation == "WxG":
+        if _zero_share(output_gradient_mask) >= _zero_share(activation_mask):
+            targeted, mask = "GO", output_gradient_mask
+        else:
+            targeted, mask = "A", activation_mask
+        vectors = mask.transpose(1, 0, 2, 3).reshape(mask.shape[1], -1)
     else:
-        targeted = activation_mask
-        name = "A"
-    # (N, C, H, W) -> one stream per channel, reduced over (N, H, W).
-    n, c, h, w = targeted.shape
-    vectors = targeted.transpose(1, 0, 2, 3).reshape(c, n * h * w)
-    streams = _pad_lanes(vectors, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand=name)
+        raise ValueError(f"unknown operation {operation!r}; expected one of {OPERATIONS}")
 
-
-def fully_connected_forward_streams(
-    activation_mask: np.ndarray,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
-) -> OperandStreams:
-    """Streams for a fully-connected forward pass; one stream per sample."""
-    if activation_mask.ndim != 2:
-        activation_mask = activation_mask.reshape(activation_mask.shape[0], -1)
-    streams = _pad_lanes(activation_mask, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand="A")
-
-
-def fully_connected_gradient_streams(
-    output_gradient_mask: np.ndarray,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
-) -> OperandStreams:
-    """Streams for the FC input-gradient computation; one stream per sample."""
-    if output_gradient_mask.ndim != 2:
-        output_gradient_mask = output_gradient_mask.reshape(
-            output_gradient_mask.shape[0], -1
-        )
-    streams = _pad_lanes(output_gradient_mask, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand="GO")
-
-
-def fully_connected_weight_gradient_streams(
-    output_gradient_mask: np.ndarray,
-    activation_mask: np.ndarray,
-    tile_rows: int = 4,
-    lanes: int = 16,
-    max_groups: Optional[int] = 512,
-) -> OperandStreams:
-    """Streams for the FC weight-gradient computation (reduction over the batch)."""
-    if output_gradient_mask.ndim != 2:
-        output_gradient_mask = output_gradient_mask.reshape(
-            output_gradient_mask.shape[0], -1
-        )
-    if activation_mask.ndim != 2:
-        activation_mask = activation_mask.reshape(activation_mask.shape[0], -1)
-    go_sparsity = 1.0 - np.count_nonzero(output_gradient_mask) / max(
-        output_gradient_mask.size, 1
-    )
-    a_sparsity = 1.0 - np.count_nonzero(activation_mask) / max(activation_mask.size, 1)
-    if go_sparsity >= a_sparsity:
-        targeted = output_gradient_mask.T  # one stream per output feature
-        name = "GO"
-    else:
-        targeted = activation_mask.T       # one stream per input feature
-        name = "A"
-    streams = _pad_lanes(targeted, lanes)
-    groups = _group_rows(streams, tile_rows)
-    sampled, total = _sample_groups(groups, max_groups)
-    return OperandStreams(groups=sampled, total_groups=total, targeted_operand=name)
-
-
-class StreamExtractor:
-    """Convenience wrapper binding the tile geometry and sampling policy."""
-
-    def __init__(
-        self,
-        tile_rows: int = 4,
-        lanes: int = 16,
-        max_groups: Optional[int] = 512,
-        max_batch: Optional[int] = 4,
-    ):
-        self.tile_rows = tile_rows
-        self.lanes = lanes
-        self.max_groups = max_groups
-        self.max_batch = max_batch
-
-    def _clip_batch(self, mask: np.ndarray) -> np.ndarray:
-        # Clip only convolutional (4D) operands; see TraceCollector._clip.
-        if self.max_batch is None or mask.ndim != 4:
-            return mask
-        if mask.shape[0] <= self.max_batch:
-            return mask
-        return mask[: self.max_batch]
-
-    def conv_streams(
-        self,
-        activation_mask: np.ndarray,
-        output_gradient_mask: Optional[np.ndarray],
-        kernel: int,
-        stride: int,
-        padding: int,
-    ) -> dict:
-        """All three operations' streams for a convolutional layer."""
-        activation_mask = self._clip_batch(activation_mask)
-        result = {
-            "AxW": forward_streams(
-                activation_mask, kernel, stride, padding,
-                self.tile_rows, self.lanes, self.max_groups,
-            )
-        }
-        if output_gradient_mask is not None:
-            output_gradient_mask = self._clip_batch(output_gradient_mask)
-            result["AxG"] = input_gradient_streams(
-                output_gradient_mask, kernel, stride,
-                self.tile_rows, self.lanes, self.max_groups,
-            )
-            result["WxG"] = weight_gradient_streams(
-                output_gradient_mask, activation_mask,
-                self.tile_rows, self.lanes, self.max_groups,
-            )
-        return result
-
-    def fc_streams(
-        self,
-        activation_mask: np.ndarray,
-        output_gradient_mask: Optional[np.ndarray],
-    ) -> dict:
-        """All three operations' streams for a fully-connected layer."""
-        activation_mask = self._clip_batch(activation_mask)
-        result = {
-            "AxW": fully_connected_forward_streams(
-                activation_mask, self.tile_rows, self.lanes, self.max_groups
-            )
-        }
-        if output_gradient_mask is not None:
-            output_gradient_mask = self._clip_batch(output_gradient_mask)
-            result["AxG"] = fully_connected_gradient_streams(
-                output_gradient_mask, self.tile_rows, self.lanes, self.max_groups
-            )
-            result["WxG"] = fully_connected_weight_gradient_streams(
-                output_gradient_mask, activation_mask,
-                self.tile_rows, self.lanes, self.max_groups,
-            )
-        return result
+    num, length = vectors.shape
+    rows = -(-length // lanes)
+    total = -(-num // tile_rows)
+    padded = np.zeros((total * tile_rows, rows * lanes), dtype=bool)
+    padded[:num, :length] = vectors
+    groups = padded.reshape(total, tile_rows, rows, lanes)
+    if max_groups is not None and total > max_groups:
+        groups = groups[np.linspace(0, total - 1, max_groups).astype(np.int64)]
+    return OperandStreams(groups=groups, total_groups=total, targeted_operand=targeted)

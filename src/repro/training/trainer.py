@@ -29,8 +29,8 @@ class BatchSampler(Protocol):
 
 #: Samples kept per traced convolutional layer unless a caller raises
 #: the cap (multi-device scaling does, so data-parallel shards balance).
-#: Referenced by the session/study layers so their simulation-time batch
-#: clip can never drift from what the trainer actually traced.
+#: The trace collector applies it; it is the only batch clip, so the
+#: simulator schedules every sample that was traced.
 DEFAULT_TRACE_MAX_BATCH = 4
 
 

@@ -319,15 +319,15 @@ class TestResultCache:
         rng = np.random.default_rng(5)
         trace = make_conv_trace(rng, "conv", sparsity=0.5)
         config = AcceleratorConfig()
-        fp1 = config_fingerprint(config, 16, 4)
-        fp2 = config_fingerprint(config, 16, 4)
+        fp1 = config_fingerprint(config, 16)
+        fp2 = config_fingerprint(config, 16)
         assert fp1 == fp2
-        assert fp1 != config_fingerprint(config, 32, 4)
+        assert fp1 != config_fingerprint(config, 32)
         tfp = trace_fingerprint(trace)
         assert tfp == trace_fingerprint(trace)
         key = layer_key(fp1, tfp)
         assert key == layer_key(fp1, tfp)
-        assert key != layer_key(config_fingerprint(config, 32, 4), tfp)
+        assert key != layer_key(config_fingerprint(config, 32), tfp)
 
     def test_cache_len_counts_entries(self, traces, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)

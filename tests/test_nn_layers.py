@@ -7,11 +7,8 @@ from repro.nn import (
     Conv2D,
     Dropout,
     Embedding,
-    LeakyReLU,
     Linear,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 
 
@@ -91,32 +88,9 @@ class TestActivations:
         grad = relu.backward(np.ones_like(x))
         assert np.array_equal(grad, [[0.0, 1.0, 0.0, 1.0]])
 
-    def test_leaky_relu_keeps_small_negative_slope(self):
-        layer = LeakyReLU(negative_slope=0.1)
-        out = layer(np.array([[-1.0, 2.0]]))
-        assert np.allclose(out, [[-0.1, 2.0]])
-        grad = layer.backward(np.ones((1, 2)))
-        assert np.allclose(grad, [[0.1, 1.0]])
-
-    def test_sigmoid_gradient(self):
-        layer = Sigmoid()
-        x = np.array([[0.0]])
-        out = layer(x)
-        grad = layer.backward(np.ones_like(x))
-        assert grad[0, 0] == pytest.approx(0.25)
-        assert out[0, 0] == pytest.approx(0.5)
-
-    def test_tanh_gradient(self):
-        layer = Tanh()
-        out = layer(np.array([[0.0]]))
-        grad = layer.backward(np.ones((1, 1)))
-        assert out[0, 0] == pytest.approx(0.0)
-        assert grad[0, 0] == pytest.approx(1.0)
-
     def test_backward_before_forward_raises(self):
-        for layer in (ReLU(), LeakyReLU(), Sigmoid(), Tanh()):
-            with pytest.raises(RuntimeError):
-                layer.backward(np.zeros((1, 1)))
+        with pytest.raises(RuntimeError):
+            ReLU().backward(np.zeros((1, 1)))
 
 
 class TestDropout:

@@ -5,10 +5,8 @@ import pytest
 
 from repro.nn import (
     AvgPool2D,
-    BatchNorm1D,
     BatchNorm2D,
     GlobalAvgPool2D,
-    LayerNorm,
     MaxPool2D,
 )
 
@@ -63,34 +61,6 @@ class TestBatchNorm2D:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             BatchNorm2D(2).backward(np.zeros((1, 2, 3, 3)))
-
-
-class TestBatchNorm1DAndLayerNorm:
-    def test_batchnorm1d_normalises_features(self):
-        rng = np.random.default_rng(4)
-        layer = BatchNorm1D(8)
-        x = rng.normal(5.0, 3.0, size=(32, 8)).astype(np.float32)
-        out = layer(x)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-4)
-
-    def test_batchnorm1d_backward_shape(self):
-        layer = BatchNorm1D(8)
-        x = np.random.default_rng(5).normal(size=(16, 8)).astype(np.float32)
-        out = layer(x)
-        assert layer.backward(np.ones_like(out)).shape == x.shape
-
-    def test_layernorm_normalises_last_dim(self):
-        rng = np.random.default_rng(6)
-        layer = LayerNorm(10)
-        x = rng.normal(2.0, 4.0, size=(5, 10)).astype(np.float32)
-        out = layer(x)
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-4)
-
-    def test_layernorm_backward_shape(self):
-        layer = LayerNorm(10)
-        x = np.random.default_rng(7).normal(size=(5, 10)).astype(np.float32)
-        out = layer(x)
-        assert layer.backward(np.ones_like(out)).shape == x.shape
 
 
 class TestPoolingLayers:

@@ -1,0 +1,49 @@
+"""perfbench's traced mode still finds the entry points it wraps.
+
+``perfbench/traced_cli.py`` times a request from outside the program by
+wrapping entry points by name (``LayerSimulator.streams_for_trace``,
+``Accelerator.run_operations_batched`` and the rest).  If a refactor
+renames one, or the request stops calling it, a ``--trace 1`` benchmark
+run crashes or reads 0 s for that stage.  This runs one small traced
+``simulate`` request and checks that it records every span the
+benchmark reports except ``explore.run``, which only a study calls.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def reported_span_names(monkeypatch):
+    """The span names behind perfbench's per-layer metrics (``LAYER_SPANS``)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)   # for its dataclasses
+    spec.loader.exec_module(run)
+    return {span for span, _ in run.LAYER_SPANS.values()}
+
+
+def test_traced_simulate_records_every_request_span(tmp_path, monkeypatch):
+    spans_path = tmp_path / "spans.json"
+    completed = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path), "--",
+            "simulate", "squeezenet", "--epochs", "1", "--batches-per-epoch", "1",
+            "--batch-size", "4", "--max-groups", "8",
+            "--cache-dir", str(tmp_path / "cache"), "--format", "json",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+    names = [name for name, _, _, _ in json.loads(spans_path.read_text())["spans"]]
+    assert reported_span_names(monkeypatch) - set(names) == {"explore.run"}
+    assert names.count("simulation.streams") == names.count("simulation.finalize")

@@ -188,9 +188,7 @@ class TestEngineFeed:
 
         rng = np.random.default_rng(7)
         layers = [make_conv_trace(rng, name=f"conv{i}") for i in range(2)]
-        engine = SimulationEngine(
-            cache_dir=tmp_path / "cache", max_groups=8, max_batch=2,
-        )
+        engine = SimulationEngine(cache_dir=tmp_path / "cache", max_groups=8)
         simulated_before = LAYERS_SIMULATED.value()
         misses_before = CACHE_MISSES.value()
         disk_before = CACHE_HITS.value(tier="disk")

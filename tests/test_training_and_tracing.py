@@ -115,6 +115,12 @@ class TestTraceCollector:
         model = self._traced_alexnet()
         trace = TraceCollector(max_batch=2).collect(model, epoch=0)
         assert trace.layers[0].activation_mask.shape[0] == 2
+        # FC operands keep the whole batch: it is WxG's reduction dimension.
+        fc_traces = [t for t in trace.layers if t.layer_type == "fc"]
+        assert fc_traces
+        for fc in fc_traces:
+            assert fc.activation_mask.shape[0] == 4
+            assert fc.output_gradient_mask.shape[0] == 4
 
     def test_operand_sparsity_accessor(self):
         model = self._traced_alexnet()
