@@ -16,7 +16,7 @@ enabled, and serves every workflow through it:
 
 Everything expensive is cached across calls: training traces (keyed by
 workload + trace parameters), per-configuration runners, and — through
-the engine memo — every simulated layer result.  Two identical requests
+the engine memo — every layer's compute part.  Two identical requests
 therefore train once and simulate once; the second is pure cache hits,
 which the per-request :class:`~repro.engine.EngineStats` delta in the
 :class:`~repro.api.schema.ApiResult` envelope makes visible.  With a
@@ -168,7 +168,8 @@ class Session:
 
         On a memo miss with a disk cache attached, the trace is loaded
         from the cache dir if any process stored it, and otherwise
-        trained and stored there.
+        trained and stored there.  The engine's stats count every trace
+        trained or loaded (``traces_trained`` / ``traces_loaded``).
         """
         key = (model, epochs, batches_per_epoch, batch_size, seed,
                trace_max_batch)
@@ -193,8 +194,11 @@ class Session:
                     batches_per_epoch=batches_per_epoch, batch_size=batch_size,
                 ):
                     trace = trace_workload(model, **params)
+                self.engine.stats.traces_trained += 1
                 if store is not None:
                     store.store_trace(stored_key, trace)
+            else:
+                self.engine.stats.traces_loaded += 1
             self._traces[key] = trace
             while len(self._traces) > self._max_cached_traces:
                 self._traces.popitem(last=False)

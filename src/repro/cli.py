@@ -97,12 +97,15 @@ so repeated runs, sweeps and resumed studies skip already-simulated
 layers.  An unset flag falls back to the ``REPRO_CACHE_DIR`` environment
 variable (one shared resolution helper,
 :func:`repro.engine.resolve_engine_options`).  Cache entries are
-content-addressed by (accelerator-config hash, layer-trace hash):
-changing any configuration knob or the traced operands (e.g. via
-``--seed`` or ``--epochs``) simply produces new keys, so stale results
-are never returned — old entries are inert files and the cache directory
-can be deleted at any time to reclaim space.  Concurrent processes may
-share one cache directory.
+content-addressed by the configuration values the scheduling kernel
+reads (tile rows, lanes, staging depth, staging-refill limit, power
+gating, ``--max-groups``) and a hash of the layer trace; traffic and the
+memory-hierarchy constraint are recomputed on every hit.  Changing a
+kernel knob or the traced operands (e.g. via ``--seed`` or ``--epochs``)
+simply produces new keys, so stale results are never returned — old
+entries are inert files and the cache directory can be deleted at any
+time to reclaim space.  Concurrent processes may share one cache
+directory.
 
 Examples
 --------
@@ -151,11 +154,11 @@ def _add_engine_arguments(
     command.add_argument(
         "--cache-dir", default=None,
         help="directory for the on-disk result cache; layers already "
-             "simulated under the same (config, trace) key are loaded "
+             "scheduled under the same kernel knobs and trace are loaded "
              "instead of re-simulated.  Keys are content hashes, so "
-             "changing the config or seed/trace invalidates entries "
-             "automatically; concurrent runs may share one directory; "
-             "delete it to reclaim space "
+             "changing a kernel knob or the seed/trace invalidates "
+             "entries automatically; concurrent runs may share one "
+             "directory; delete it to reclaim space "
              "(default: $REPRO_CACHE_DIR, else disabled)")
     command.add_argument(
         "--telemetry-dir", default=None,

@@ -163,6 +163,18 @@ class Accelerator:
         else:
             self.refill_limit = None
 
+    @property
+    def kernel_inputs(self) -> Tuple[Tuple[str, object], ...]:
+        """Every value besides the work groups that the kernel's cycle
+        counts depend on (the datatype, memory sizes and energy
+        parameters are not among them)."""
+        return (
+            ("lanes", self.pattern.lanes),
+            ("staging_depth", self.pattern.staging_depth),
+            ("refill_limit", self.refill_limit),
+            ("power_gated", self.config.power_gated),
+        )
+
     # ------------------------------------------------------------------
     def tile_cycles_batch(
         self, groups: np.ndarray, rows_per_group: Optional[np.ndarray] = None

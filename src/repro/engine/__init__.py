@@ -5,11 +5,11 @@ This package is the execution layer between the accelerator model
 (:mod:`repro.simulation.runner`, the CLI, the benchmark harness):
 
 * :mod:`repro.engine.cache` — the content-addressed on-disk cache of
-  layer results and training traces;
+  layer compute parts and training traces;
 * :mod:`repro.engine.engine` — :class:`SimulationEngine`, which puts the
   cache stack (disk and/or in-process memo) in front of
-  :meth:`repro.simulation.cycle_sim.LayerSimulator.simulate_layers` and
-  tracks :class:`EngineStats`;
+  :meth:`repro.simulation.cycle_sim.LayerSimulator.compute_layers`,
+  finalizes every layer and tracks :class:`EngineStats`;
 * :mod:`repro.engine.options` — :func:`resolve_engine_options`, the single
   place the cache-dir/telemetry/study-jobs precedence (argument >
   ``REPRO_*`` env var > default) is decided for every entry point.
@@ -22,7 +22,7 @@ engine.
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
-    config_fingerprint,
+    compute_fingerprint,
     layer_key,
     trace_fingerprint,
 )
@@ -32,7 +32,7 @@ from repro.engine.options import EngineOptions, resolve_engine_options
 __all__ = [
     "ResultCache",
     "CACHE_SCHEMA_VERSION",
-    "config_fingerprint",
+    "compute_fingerprint",
     "trace_fingerprint",
     "layer_key",
     "EngineStats",

@@ -1,16 +1,27 @@
 """Content-addressed on-disk cache of per-layer simulation results.
 
-Sweeps and repeated benchmark runs re-simulate the same (configuration,
-layer trace) pairs over and over; this cache makes the second and later
-runs free.  Entries are keyed by a SHA-256 over two fingerprints:
+Sweeps and repeated benchmark runs re-simulate the same layers over and
+over; this cache makes the second and later runs free.  It stores the
+**compute part** of each layer result
+(:data:`~repro.simulation.cycle_sim.LayerCompute`: per-operation
+baseline and TensorDash cycles and MACs, scaled up by the stream
+sampling factor), keyed by a SHA-256 over two fingerprints:
 
-* the **configuration fingerprint** — every field of the
-  :class:`~repro.core.config.AcceleratorConfig` (including the
-  memory-hierarchy bandwidth/capacity parameters, so results produced
-  under different hierarchies can never collide) plus the stream-sampling
-  parameter (``max_groups``) that shapes the simulated work;
+* the **compute fingerprint** (:func:`compute_fingerprint`) — the values
+  stream extraction and the scheduling kernel read, taken from the
+  simulator that reads them
+  (:attr:`~repro.simulation.cycle_sim.LayerSimulator.compute_inputs`):
+  tile rows, ``max_groups``, lanes, staging depth, the effective
+  staging-refill limit and power gating, plus
+  :data:`CACHE_SCHEMA_VERSION`.  Configurations that differ only in
+  anything else — datatype, memory sizes, bandwidths that leave the
+  refill limit alone, energy parameters — share entries;
 * the **trace fingerprint** — the layer's hyper-parameters and the raw
   bytes of its boolean operand masks.
+
+The rest of a layer result (memory traffic and the memory-hierarchy
+constraint) is cheap and is recomputed from the trace and the full
+configuration on every hit, so it never goes stale either.
 
 Invalidation is purely structural: change any input and the key changes,
 so a stale entry can never be returned — it is simply never looked up
@@ -54,9 +65,10 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 #: Bump to invalidate every existing cache entry after a format change.
-#: Version 2 added the memory-hierarchy fields (stall cycles, effective
-#: DRAM bytes, bound verdict) to the per-operation payload.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3 stores only the compute part of a layer result, keyed by
+#: :func:`compute_fingerprint`; traffic, stalls and the bound verdict are
+#: recomputed on every hit.
+CACHE_SCHEMA_VERSION = 3
 
 #: Bump to orphan every stored training trace after a change to the
 #: trace file layout (code changes to training need no bump: see
@@ -89,16 +101,13 @@ def _update_mask(digest, name: str, mask: Optional[np.ndarray]) -> None:
     digest.update(arr.tobytes())
 
 
-def config_fingerprint(config, max_groups) -> str:
-    """Fingerprint of everything configuration-side that shapes a result.
-
-    ``AcceleratorConfig`` is a frozen dataclass tree, so its ``repr`` is a
-    complete, stable serialisation of every field.
-    """
+def compute_fingerprint(simulator) -> str:
+    """Fingerprint of everything besides the trace that a layer's compute
+    part depends on: the schema version and the
+    :attr:`~repro.simulation.cycle_sim.LayerSimulator.compute_inputs` of
+    the simulator that computes it."""
     digest = _hasher()
-    digest.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
-    digest.update(repr(config).encode())
-    digest.update(f"|max_groups={max_groups}".encode())
+    digest.update(f"schema={CACHE_SCHEMA_VERSION}|{simulator.compute_inputs!r}".encode())
     return digest.hexdigest()
 
 
@@ -115,10 +124,10 @@ def trace_fingerprint(trace) -> str:
     return digest.hexdigest()
 
 
-def layer_key(config_fp: str, trace_fp: str) -> str:
-    """Content address of one (config, trace) simulation."""
+def layer_key(compute_fp: str, trace_fp: str) -> str:
+    """Content address of one layer's compute part."""
     digest = _hasher()
-    digest.update(f"{config_fp}|{trace_fp}".encode())
+    digest.update(f"{compute_fp}|{trace_fp}".encode())
     return digest.hexdigest()
 
 
@@ -143,50 +152,32 @@ def trace_key(
     return digest.hexdigest()
 
 
-def _result_to_payload(result) -> dict:
+def _compute_to_payload(compute) -> dict:
     return {
         "version": CACHE_SCHEMA_VERSION,
-        "layer_name": result.layer_name,
         "operations": {
             name: {
                 "baseline_cycles": int(op.baseline_cycles),
                 "tensordash_cycles": int(op.tensordash_cycles),
                 "macs_total": int(op.macs_total),
                 "macs_effectual": int(op.macs_effectual),
-                "baseline_stall_cycles": int(op.baseline_stall_cycles),
-                "tensordash_stall_cycles": int(op.tensordash_stall_cycles),
-                "memory_cycles": int(op.memory_cycles),
-                "dram_bytes": int(op.dram_bytes),
-                "bound": str(op.bound),
             }
-            for name, op in result.operations.items()
-        },
-        "traffic": {
-            name: {
-                "dram_bytes": int(traffic.dram_bytes),
-                "sram_bytes": int(traffic.sram_bytes),
-                "scratchpad_bytes": int(traffic.scratchpad_bytes),
-            }
-            for name, traffic in result.traffic.items()
+            for name, op in compute.items()
         },
     }
 
 
-def _payload_to_result(payload):
+def _payload_to_compute(payload):
     from repro.core.accelerator import OperationResult
-    from repro.memory.traffic import MemoryTraffic
-    from repro.simulation.cycle_sim import LayerResult
 
     if not isinstance(payload, dict) or payload.get("version") != CACHE_SCHEMA_VERSION:
         return None
-    if not all(isinstance(payload.get(part), dict) for part in ("operations", "traffic")):
+    if not isinstance(payload.get("operations"), dict):
         return None
-    result = LayerResult(layer_name=payload["layer_name"])
-    for name, op in payload["operations"].items():
-        result.operations[name] = OperationResult(name=name, **op)
-    for name, traffic in payload["traffic"].items():
-        result.traffic[name] = MemoryTraffic(**traffic)
-    return result
+    return {
+        name: OperationResult(name=name, **op)
+        for name, op in payload["operations"].items()
+    }
 
 
 def _trace_to_bytes(trace) -> bytes:
@@ -283,8 +274,8 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 
 class ResultCache:
-    """One directory of content-addressed per-layer simulation results
-    and training traces."""
+    """One directory of content-addressed per-layer compute parts and
+    training traces."""
 
     def __init__(self, cache_dir: Union[str, Path]):
         self.cache_dir = Path(cache_dir)
@@ -300,7 +291,9 @@ class ResultCache:
         return self.cache_dir / key[:2] / f"{key}.json"
 
     def load(self, key: str):
-        """The cached :class:`LayerResult` for ``key``, or ``None`` on miss.
+        """The cached compute part
+        (:data:`~repro.simulation.cycle_sim.LayerCompute`) for ``key``, or
+        ``None`` on miss.
 
         Unreadable, schema-mismatched or wrongly shaped files are
         misses, never errors.
@@ -311,13 +304,13 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         try:
-            return _payload_to_result(payload)
+            return _payload_to_compute(payload)
         except (KeyError, TypeError):
             return None
 
-    def store(self, key: str, result) -> None:
-        """Persist one layer result (atomic rename, last writer wins)."""
-        payload = json.dumps(_result_to_payload(result))
+    def store(self, key: str, compute) -> None:
+        """Persist one layer's compute part (atomic rename, last writer wins)."""
+        payload = json.dumps(_compute_to_payload(compute))
         write_atomic(self.path_for(key), payload.encode())
 
     def load_trace(self, key: str):
@@ -338,6 +331,6 @@ class ResultCache:
         write_atomic(self.path_for(key).with_suffix(".trace"), _trace_to_bytes(trace))
 
     def __len__(self) -> int:
-        """Stored layer results (training traces are not counted)."""
+        """Stored compute parts (training traces are not counted)."""
         return sum(1 for _ in self.cache_dir.glob("*/*.json"))
 

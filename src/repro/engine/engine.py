@@ -4,22 +4,30 @@
 CLI, API session, benchmark harness) drives instead of a bare
 :class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns two things:
 
-* an optional result-cache stack that skips layers whose (config, trace)
-  pair has been simulated before — a content-addressed
+* an optional cache stack of layer **compute parts** (the kernel's
+  cycle and MAC counts, :data:`~repro.simulation.cycle_sim.LayerCompute`)
+  that skips layers whose compute part is known — a content-addressed
   :class:`~repro.engine.cache.ResultCache` on disk, an in-process memo
   (``memory_cache=True``, used by :class:`repro.api.Session` so repeated
   requests in one session never re-simulate), or both layered;
 * an :class:`EngineStats` record of what happened, which reports surface.
 
-Cache misses go to :meth:`LayerSimulator.simulate_layers`, which fuses
+Cache misses go to :meth:`LayerSimulator.compute_layers`, which fuses
 every missed layer into one call of the batched scheduling kernel.
+Every layer, hit or miss, is then finalized
+(:meth:`LayerSimulator.finalize_layer`: memory traffic and the
+memory-hierarchy constraint) under the call's full configuration.
 
 One engine serves any number of accelerator configurations: every
 ``simulate_layers`` call may carry its own ``config`` (and sampling
 parameters), and the engine keeps one :class:`LayerSimulator` per
-configuration fingerprint.  This is what lets a long-lived session run
-simulate/sweep/explore/roofline workloads through one cache namespace
-and one set of counters.
+``(config, max_groups)``.  Compute parts are keyed by what stream
+extraction and the kernel read
+(:func:`~repro.engine.cache.compute_fingerprint`) and the trace, so
+configurations that differ only in datatype, memory or energy
+parameters reuse each other's compute parts.  This is what lets a
+long-lived session run simulate/sweep/explore/roofline workloads
+through one cache namespace and one set of counters.
 
 The engine guarantees order preservation: results come back in trace
 order whether they were cache hits or freshly simulated.
@@ -34,11 +42,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import AcceleratorConfig
 from repro.engine.cache import (
     ResultCache,
-    config_fingerprint,
+    compute_fingerprint,
     layer_key,
     trace_fingerprint,
 )
-from repro.simulation.cycle_sim import LayerResult, LayerSimulator, traced_layers
+from repro.simulation.cycle_sim import (
+    LayerCompute,
+    LayerResult,
+    LayerSimulator,
+    traced_layers,
+)
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import get_tracer
 
@@ -49,7 +62,9 @@ class EngineStats:
 
     ``cache_hits`` is the aggregate across the whole cache stack;
     ``memo_hits`` / ``disk_hits`` attribute every hit to the tier that
-    served it (in-process memo, on-disk cache).
+    served it (in-process memo, on-disk cache).  ``traces_trained`` /
+    ``traces_loaded`` count the training traces a session trained or
+    loaded from the cache dir's trace store.
     """
 
     cache_dir: Optional[str] = None
@@ -58,6 +73,8 @@ class EngineStats:
     cache_misses: int = 0
     memo_hits: int = 0
     disk_hits: int = 0
+    traces_trained: int = 0
+    traces_loaded: int = 0
 
     @property
     def layers_total(self) -> int:
@@ -80,6 +97,8 @@ class EngineStats:
             "memo_hits": self.memo_hits,
             "disk_hits": self.disk_hits,
             "hit_rate": self.hit_rate,
+            "traces_trained": self.traces_trained,
+            "traces_loaded": self.traces_loaded,
         }
 
     @classmethod
@@ -98,6 +117,8 @@ class EngineStats:
             cache_misses=int(payload.get("cache_misses", 0)),
             memo_hits=int(payload.get("memo_hits", 0)),
             disk_hits=int(payload.get("disk_hits", 0)),
+            traces_trained=int(payload.get("traces_trained", 0)),
+            traces_loaded=int(payload.get("traces_loaded", 0)),
         )
 
     def snapshot(self) -> "EngineStats":
@@ -117,6 +138,8 @@ class EngineStats:
         self.cache_misses += other.cache_misses
         self.memo_hits += other.memo_hits
         self.disk_hits += other.disk_hits
+        self.traces_trained += other.traces_trained
+        self.traces_loaded += other.traces_loaded
 
     def since(self, earlier: "EngineStats") -> "EngineStats":
         """The activity between an earlier :meth:`snapshot` and now.
@@ -132,6 +155,8 @@ class EngineStats:
             cache_misses=self.cache_misses - earlier.cache_misses,
             memo_hits=self.memo_hits - earlier.memo_hits,
             disk_hits=self.disk_hits - earlier.disk_hits,
+            traces_trained=self.traces_trained - earlier.traces_trained,
+            traces_loaded=self.traces_loaded - earlier.traces_loaded,
         )
 
 
@@ -145,19 +170,20 @@ class SimulationEngine:
         omitted).  Individual ``simulate_layers`` calls may override it.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables the
-        disk layer.  Entries are keyed by (config hash, trace hash), so
-        any change to the accelerator configuration — including the
-        memory-hierarchy bandwidth/capacity parameters — the sampling
-        parameter or the traced operands invalidates them structurally;
-        results simulated under different hierarchies can never collide.
+        disk layer.  Entries are compute parts keyed by (compute
+        fingerprint, trace fingerprint), so any change to what stream
+        extraction or the kernel reads — tile rows, lanes, staging
+        depth, refill limit, power gating, the sampling cap — or to the
+        traced operands invalidates them structurally, while every other
+        configuration field is applied afresh on each hit.
         Several processes may point at one directory: whatever one of
         them stores, the others load instead of re-simulating.
     max_groups:
         Default stream-sampling cap, forwarded to the layer simulator
         (and folded into the cache key).  Overridable per call.
     memory_cache:
-        Keep every result in an in-process memo keyed identically to the
-        disk cache.  This is what makes a warm :class:`repro.api.Session`
+        Keep every compute part in an in-process memo keyed identically
+        to the disk cache.  This is what makes a warm :class:`repro.api.Session`
         serve repeated requests without re-simulating — even with no
         ``cache_dir`` configured.  Memo hits count as cache hits in
         :attr:`stats`.
@@ -173,8 +199,10 @@ class SimulationEngine:
         self.config = config or AcceleratorConfig()
         self.max_groups = max_groups
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self._memo: Optional[Dict[str, LayerResult]] = {} if memory_cache else None
-        self._simulators: Dict[str, LayerSimulator] = {}
+        self._memo: Optional[Dict[str, LayerCompute]] = {} if memory_cache else None
+        self._simulators: Dict[
+            Tuple[AcceleratorConfig, Optional[int]], Tuple[LayerSimulator, str]
+        ] = {}
         self.stats = EngineStats(cache_dir=str(cache_dir) if cache_dir else None)
         # The default-config simulator, eagerly built for back-compat
         # (callers that read ``engine.simulator`` directly).
@@ -186,15 +214,14 @@ class SimulationEngine:
         config: Optional[AcceleratorConfig],
         max_groups: Optional[int],
     ) -> Tuple[LayerSimulator, str]:
-        """The (simulator, config fingerprint) pair for one call's inputs."""
+        """The (simulator, compute fingerprint) pair for one call's inputs."""
         config = self.config if config is None else config
         max_groups = self.max_groups if max_groups is None else max_groups
-        fingerprint = config_fingerprint(config, max_groups)
-        simulator = self._simulators.get(fingerprint)
-        if simulator is None:
+        key = (config, max_groups)
+        if key not in self._simulators:
             simulator = LayerSimulator(config, max_groups=max_groups)
-            self._simulators[fingerprint] = simulator
-        return simulator, fingerprint
+            self._simulators[key] = (simulator, compute_fingerprint(simulator))
+        return self._simulators[key]
 
     def simulator_for(
         self,
@@ -228,7 +255,7 @@ class SimulationEngine:
             self.cache = None
             self.stats.cache_dir = previous_label
 
-    def _lookup(self, key: str) -> Optional[LayerResult]:
+    def _lookup(self, key: str) -> Optional[LayerCompute]:
         """Read through the cache stack: memo -> disk.
 
         Disk hits are promoted into the memo, so repeated lookups in one
@@ -252,11 +279,11 @@ class SimulationEngine:
             return loaded
         return None
 
-    def _store(self, key: str, result: LayerResult) -> None:
+    def _store(self, key: str, compute: LayerCompute) -> None:
         if self._memo is not None:
-            self._memo[key] = result
+            self._memo[key] = compute
         if self.cache is not None:
-            self.cache.store(key, result)
+            self.cache.store(key, compute)
 
     # ------------------------------------------------------------------
     def simulate_layers(
@@ -269,58 +296,56 @@ class SimulationEngine:
 
         ``config`` / ``max_groups`` default to the engine's
         construction-time values; passing them lets one engine serve many
-        accelerator configurations (each gets its own simulator and cache
-        namespace, all sharing the memo and counters).
+        accelerator configurations (each gets its own simulator, all
+        sharing the memo, the disk cache and the counters).
 
-        Cache hits are loaded; misses are batched into one
-        :meth:`LayerSimulator.simulate_layers` call (so the kernel fuses
-        only the layers that actually need simulating), stored, and merged
-        back in trace order.
+        The cache stack holds compute parts.  Hits are loaded; misses are
+        batched into one :meth:`LayerSimulator.compute_layers` call (so
+        the kernel fuses only the layers that actually need simulating)
+        and stored.  Every layer, hit or miss, is then finalized under
+        this call's configuration, in trace order.
         """
         work = traced_layers(traces)
-        simulator, config_fp = self._resolve(config, max_groups)
+        simulator, compute_fp = self._resolve(config, max_groups)
         tracer = get_tracer()
-        if self.cache is None and self._memo is None:
-            with tracer.span("engine.simulate_layers", layers=len(work)):
-                results = simulator.simulate_layers(work)
-            self.stats.layers_simulated += len(results)
-            if results:
-                _metrics.LAYERS_SIMULATED.inc(len(results))
-            return results
-
-        slots: List[Optional[LayerResult]] = [None] * len(work)
-        misses: List[int] = []
-        keys: List[str] = [
-            layer_key(config_fp, trace_fingerprint(trace)) for trace in work
-        ]
-        tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
-        with tracer.span("engine.cache_lookup", layers=len(work)) as span:
-            for index, key in enumerate(keys):
-                cached = self._lookup(key)
-                if cached is None:
-                    misses.append(index)
-                else:
-                    slots[index] = cached
-            span.set(hits=len(work) - len(misses), misses=len(misses))
-        self.stats.cache_hits += len(work) - len(misses)
-        self.stats.cache_misses += len(misses)
-        # Feed the process-wide registry the same per-call deltas the
-        # stats counters record — one increment per tier per batch, so
-        # the hot per-layer lookup loop stays untouched.
-        for tier, before, now in zip(
-            ("memo", "disk"), tiers_before,
-            (self.stats.memo_hits, self.stats.disk_hits),
-        ):
-            if now > before:
-                _metrics.CACHE_HITS.inc(now - before, tier=tier)
+        computes: List[Optional[LayerCompute]] = [None] * len(work)
+        misses = list(range(len(work)))
+        keys: List[str] = []
+        if self.cache is not None or self._memo is not None:
+            keys = [layer_key(compute_fp, trace_fingerprint(trace)) for trace in work]
+            misses = []
+            tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
+            with tracer.span("engine.cache_lookup", layers=len(work)) as span:
+                for index, key in enumerate(keys):
+                    cached = self._lookup(key)
+                    if cached is None:
+                        misses.append(index)
+                    else:
+                        computes[index] = cached
+                span.set(hits=len(work) - len(misses), misses=len(misses))
+            self.stats.cache_hits += len(work) - len(misses)
+            self.stats.cache_misses += len(misses)
+            # Feed the process-wide registry the same per-call deltas the
+            # stats counters record — one increment per tier per batch, so
+            # the hot per-layer lookup loop stays untouched.
+            for tier, before, now in zip(
+                ("memo", "disk"), tiers_before,
+                (self.stats.memo_hits, self.stats.disk_hits),
+            ):
+                if now > before:
+                    _metrics.CACHE_HITS.inc(now - before, tier=tier)
+            if misses:
+                _metrics.CACHE_MISSES.inc(len(misses))
         if misses:
-            _metrics.CACHE_MISSES.inc(len(misses))
             with tracer.span("engine.simulate_layers", layers=len(misses)):
-                fresh = simulator.simulate_layers([work[i] for i in misses])
+                fresh = simulator.compute_layers([work[i] for i in misses])
             self.stats.layers_simulated += len(fresh)
-            if fresh:
-                _metrics.LAYERS_SIMULATED.inc(len(fresh))
-            for index, result in zip(misses, fresh):
-                self._store(keys[index], result)
-                slots[index] = result
-        return [result for result in slots if result is not None]
+            _metrics.LAYERS_SIMULATED.inc(len(fresh))
+            for index, compute in zip(misses, fresh):
+                if keys:
+                    self._store(keys[index], compute)
+                computes[index] = compute
+        return [
+            simulator.finalize_layer(trace, compute)
+            for trace, compute in zip(work, computes)
+        ]

@@ -4,8 +4,13 @@
 chunks and runs each chunk on a pool of worker processes — the
 project's only multi-process layer.  Every worker owns one
 :class:`~repro.engine.SimulationEngine` pointed at the study's disk
-cache, so duplicate (config, trace) work collapses across workers exactly
-as it does across serve processes sharing a ``--cache-dir``.
+cache, so duplicate (compute key, trace) work collapses across workers
+exactly as it does across serve processes sharing a ``--cache-dir``.  Only
+what a worker finds stored collapses: datatype twins (points that differ
+only in knobs the kernel does not read) running on two workers at once
+are both scheduled, so a parallel study may count more
+``layers_simulated`` than the serial run, whose one memo shares them.
+Results are identical either way.
 
 The payload a worker needs — the spec, the parent's pre-computed
 scenario traces, and the chunked point lists — ships through fork's
@@ -18,8 +23,7 @@ always hits the prefilled memo.
 Results merge back in the parent as each chunk completes (unordered —
 the runner re-sorts into point order at the end), together with the
 worker's exact :class:`~repro.engine.engine.EngineStats` delta for that
-chunk, so aggregated study stats match what one engine doing all the
-work would have counted.
+chunk, so aggregated study stats count exactly the work the workers did.
 """
 
 from __future__ import annotations

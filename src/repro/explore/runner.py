@@ -153,7 +153,7 @@ class StudyRunner:
         Worker processes to fan point groups across; ``None`` or ``1``
         runs serially in this process.  Every worker engine joins
         ``cache_dir`` (the parent's injected engine is not reconfigured),
-        so duplicate (config, trace) work collapses across workers.
+        so duplicate (compute key, trace) work collapses across workers.
     trace_fn:
         Optional ``workload name -> TrainingTrace`` provider overriding
         the built-in train-and-trace step — e.g. a session-level trace
@@ -638,8 +638,7 @@ class StudyRunner:
         lifetime, not just this study; callers wanting per-study numbers
         should snapshot/diff with :meth:`EngineStats.since`.  Study
         workers report an exact per-chunk delta as results merge, so the
-        parallel totals match what one engine doing all the work would
-        have counted.
+        parallel totals count exactly the work every worker did.
         """
         totals = EngineStats(cache_dir=self.cache_dir)
         seen = set()

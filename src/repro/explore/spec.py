@@ -44,7 +44,8 @@ def _apply_power_gating(config: AcceleratorConfig, value) -> AcceleratorConfig:
 #: ``dram_bandwidth_gbps`` and ``sram_kb`` sweep the memory hierarchy, so
 #: bandwidth-starved edge machines and the paper's Table 2 machine live in
 #: one study; both knobs make the swept points memory-aware (finite
-#: hierarchy), which the engine cache keys on automatically.
+#: hierarchy), which the engine applies afresh to every cached compute
+#: part (the cache keys only the staging-refill limit it implies).
 KNOBS: Dict[str, Callable[[AcceleratorConfig, object], AcceleratorConfig]] = {
     "tiles": lambda c, v: replace(c, num_tiles=int(v)),
     "rows": lambda c, v: c.with_tile(rows=int(v)),

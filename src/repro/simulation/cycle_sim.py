@@ -5,21 +5,31 @@ plus convolution hyper-parameters) into operand streams, runs them through
 the accelerator model and returns baseline / TensorDash cycle counts, MAC
 counts and memory traffic for each of the paper's three operations.
 
-Every traced layer reaches the scheduler through one call chain:
-:meth:`LayerSimulator.simulate_layers` extracts each layer's operand
-streams, hands the work groups of *all* layers and operations to one
-:meth:`~repro.core.accelerator.Accelerator.run_operations_batched` call
-(the bit-packed :class:`~repro.core.scheduler.BatchScheduler` kernel;
-windows wider than 64 bits run on
-:meth:`~repro.core.scheduler.HardwareScheduler.walk`), then finalizes
-each layer.  The kernel is property-tested against the readable oracle
+A layer's result is computed in two parts:
+
+* the **compute part** (:data:`LayerCompute`):
+  :meth:`LayerSimulator.compute_layers` extracts every layer's operand
+  streams, hands the work groups of *all* layers and operations to one
+  :meth:`~repro.core.accelerator.Accelerator.run_operations_batched`
+  call (the bit-packed :class:`~repro.core.scheduler.BatchScheduler`
+  kernel; windows wider than 64 bits run on
+  :meth:`~repro.core.scheduler.HardwareScheduler.walk`), and scales the
+  per-operation cycle and MAC counts up by the stream sampling factor.
+  It depends on the trace and on :attr:`LayerSimulator.compute_inputs`
+  alone — the few configuration values stream extraction and the kernel
+  read — so configurations that differ only in datatype, memory or
+  energy parameters share it;
+* the **finalize part**: :meth:`LayerSimulator.finalize_layer` counts
+  the memory traffic from the masks and imposes the configured memory
+  hierarchy on the compute part.
+
+The kernel is property-tested against the readable oracle
 :meth:`~repro.core.accelerator.Accelerator.run_operation_reference`.
 For cross-run reuse, wrap the simulator in a
-:class:`repro.engine.SimulationEngine` with a ``cache_dir`` — results
-are then cached on disk keyed by (config hash, trace hash) and
-invalidated structurally whenever either input changes (the
-memory-hierarchy parameters are part of the config hash, so differing
-hierarchies can never collide in the cache).
+:class:`repro.engine.SimulationEngine`: it caches compute parts keyed by
+(compute inputs, trace) and re-runs the finalize part for every layer of
+every call, so a cached compute part serves any configuration that
+shares its compute inputs.
 
 Memory awareness: after the kernel returns an operation's compute cycles,
 the simulator consults ``config.hierarchy``
@@ -34,9 +44,7 @@ leaves every cycle count bit-identical to the compute-only model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.accelerator import Accelerator, OperationResult
 from repro.core.config import AcceleratorConfig
@@ -110,6 +118,13 @@ def traced_layers(traces: Sequence[LayerTrace]) -> List[LayerTrace]:
     return [t for t in traces if t.activation_mask is not None]
 
 
+#: The compute part of one layer's result: per-operation compute-only
+#: :class:`OperationResult` objects (baseline and TensorDash cycles,
+#: total and effectual MACs), already scaled up by the stream sampling
+#: factor and not yet constrained by the memory hierarchy.
+LayerCompute = Dict[str, OperationResult]
+
+
 class LayerSimulator:
     """Simulates traced layers on the baseline and TensorDash accelerators."""
 
@@ -127,14 +142,25 @@ class LayerSimulator:
             compress_offchip=self.config.memory.compress_offchip,
         )
 
+    @property
+    def compute_inputs(self) -> Tuple[Tuple[str, object], ...]:
+        """Every value besides the trace that a :data:`LayerCompute` depends
+        on: what :meth:`streams_for_trace` reads, then what the kernel
+        reads (:attr:`Accelerator.kernel_inputs`).  Simulators with equal
+        compute inputs compute identical compute parts.
+        """
+        return (
+            ("tile_rows", self.config.tile.rows),
+            ("max_groups", self.max_groups),
+            *self.accelerator.kernel_inputs,
+        )
+
     # ------------------------------------------------------------------
     def streams_for_trace(self, trace: LayerTrace) -> Dict[str, OperandStreams]:
         """Operand streams per traced operation (empty if nothing traced).
 
-        Public so :meth:`simulate_layers` can extract every layer's
-        streams up front, fuse them into large scheduling batches, and
-        then hand the raw per-operation results back to
-        :meth:`finalize_layer`.
+        Public so :meth:`compute_layers` can extract every layer's
+        streams up front and fuse them into large scheduling batches.
         """
         activations = trace.activation_mask
         gradients = trace.output_gradient_mask
@@ -163,19 +189,17 @@ class LayerSimulator:
         weights = trace.weight_mask
         if activations is None or weights is None:
             return traffic
-        act = activations.astype(np.float32)
-        wts = weights.astype(np.float32)
-        out_size = int(act.shape[0]) * int(weights.shape[0])
+        # The counter reads only each mask's size and non-zero count.
+        out_size = int(activations.shape[0]) * int(weights.shape[0])
         traffic["AxW"] = self.traffic_counter.operation_traffic(
-            {"A": act, "W": wts}, out_size
+            {"A": activations, "W": weights}, out_size
         )
         if gradients is not None:
-            grd = gradients.astype(np.float32)
             traffic["AxG"] = self.traffic_counter.operation_traffic(
-                {"GO": grd, "W": wts}, int(act.size)
+                {"GO": gradients, "W": weights}, int(activations.size)
             )
             traffic["WxG"] = self.traffic_counter.operation_traffic(
-                {"GO": grd, "A": act}, int(weights.size)
+                {"GO": gradients, "A": activations}, int(weights.size)
             )
         return traffic
 
@@ -211,33 +235,19 @@ class LayerSimulator:
         )
 
     def finalize_layer(
-        self,
-        trace: LayerTrace,
-        op_results: Dict[str, OperationResult],
-        sampling_factors: Dict[str, float],
+        self, trace: LayerTrace, compute: LayerCompute
     ) -> LayerResult:
-        """Assemble a :class:`LayerResult` from raw per-operation results.
+        """Assemble a :class:`LayerResult` from a layer's compute part.
 
-        When the stream extractor subsamples work groups, the measured
-        cycle and MAC counts are scaled back up by the sampling factor so
-        that they stay commensurate with the (unsampled) memory-traffic
-        estimates used by the energy accounting.  Speedups are ratios and
-        are unaffected by the scaling.  The memory hierarchy is consulted
-        *after* scaling, so the bandwidth constraint sees full-operation
-        compute cycles against full-operation byte counts.
+        Counts the layer's memory traffic from its masks and imposes the
+        configured memory hierarchy on each operation.  The compute part
+        is already scaled up to the full operation, so the bandwidth
+        constraint sees full-operation compute cycles against
+        full-operation byte counts.
         """
         result = LayerResult(layer_name=trace.layer_name)
         result.traffic = self._traffic_for_trace(trace)
-        for operation, op_result in op_results.items():
-            factor = sampling_factors.get(operation, 1.0)
-            if factor > 1.0:
-                op_result = OperationResult(
-                    name=op_result.name,
-                    baseline_cycles=int(round(op_result.baseline_cycles * factor)),
-                    tensordash_cycles=int(round(op_result.tensordash_cycles * factor)),
-                    macs_total=int(round(op_result.macs_total * factor)),
-                    macs_effectual=int(round(op_result.macs_effectual * factor)),
-                )
+        for operation, op_result in compute.items():
             result.operations[operation] = self._constrain(
                 op_result, result.traffic.get(operation)
             )
@@ -252,19 +262,22 @@ class LayerSimulator:
             )
         return results[0]
 
-    def simulate_layers(self, traces: Sequence[LayerTrace]) -> List[LayerResult]:
-        """Simulate every traced layer; layers without masks are skipped.
+    def compute_layers(self, traces: Sequence[LayerTrace]) -> List[LayerCompute]:
+        """The compute part of every traced layer; layers without masks
+        are skipped.
 
         Stream extraction runs per layer, but the extracted work groups of
         *all* layers and operations go to one
         :meth:`~repro.core.accelerator.Accelerator.run_operations_batched`
         call, so the per-cycle scheduling cost is amortised across the
-        whole trace rather than per operation.  Sampling scaling and the
-        memory-hierarchy constraint still run per layer in
-        :meth:`finalize_layer`.  Results come back in trace order.
+        whole trace rather than per operation.  When the stream extractor
+        subsampled an operation's work groups, its cycle and MAC counts
+        are scaled back up by the sampling factor, so they stay
+        commensurate with the unsampled traffic counts that
+        :meth:`finalize_layer` and the energy accounting use; speedups
+        are ratios and are unaffected.  Results come back in trace order.
         """
-        layers = traced_layers(traces)
-        layer_streams = [self.streams_for_trace(trace) for trace in layers]
+        layer_streams = [self.streams_for_trace(trace) for trace in traced_layers(traces)]
         units = [
             (index, operation, operand_streams)
             for index, streams in enumerate(layer_streams)
@@ -273,14 +286,27 @@ class LayerSimulator:
         op_results = self.accelerator.run_operations_batched(
             [(operation, s.groups) for _, operation, s in units]
         )
-        per_layer: List[Dict[str, OperationResult]] = [{} for _ in layers]
-        for (index, operation, _), op_result in zip(units, op_results):
-            per_layer[index][operation] = op_result
+        computes: List[LayerCompute] = [{} for _ in layer_streams]
+        for (index, operation, operand_streams), op_result in zip(units, op_results):
+            factor = operand_streams.sampling_factor
+            if factor > 1.0:
+                op_result = OperationResult(
+                    name=op_result.name,
+                    baseline_cycles=int(round(op_result.baseline_cycles * factor)),
+                    tensordash_cycles=int(round(op_result.tensordash_cycles * factor)),
+                    macs_total=int(round(op_result.macs_total * factor)),
+                    macs_effectual=int(round(op_result.macs_effectual * factor)),
+                )
+            computes[index][operation] = op_result
+        return computes
+
+    def simulate_layers(self, traces: Sequence[LayerTrace]) -> List[LayerResult]:
+        """Simulate every traced layer (:meth:`compute_layers`, then
+        :meth:`finalize_layer` per layer); layers without masks are
+        skipped.  Results come back in trace order.
+        """
+        layers = traced_layers(traces)
         return [
-            self.finalize_layer(
-                trace,
-                per_layer[index],
-                {op: s.sampling_factor for op, s in layer_streams[index].items()},
-            )
-            for index, trace in enumerate(layers)
+            self.finalize_layer(trace, compute)
+            for trace, compute in zip(layers, self.compute_layers(layers))
         ]

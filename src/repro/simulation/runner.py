@@ -9,9 +9,10 @@ quantities Figs. 13-20 and Table 3 report.
 Layer execution goes through a :class:`repro.engine.SimulationEngine`, so
 every runner accepts a ``cache_dir`` enabling the content-addressed
 on-disk result cache.  With a cache directory set, re-running a sweep
-re-simulates only layers whose (config, trace) key has never been seen;
-everything else is loaded from disk, and ``runner.engine.stats`` records
-the hit/miss split for reports.
+re-schedules only layers whose (compute key, trace) pair has never been
+seen; everything else is loaded from disk and finalized under the
+runner's configuration, and ``runner.engine.stats`` records the hit/miss
+split for reports.
 
 Runners can alternatively be handed an existing
 :class:`~repro.engine.SimulationEngine` via the ``engine`` argument, in

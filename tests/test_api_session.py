@@ -5,7 +5,9 @@ import pytest
 import repro.api.session as session_module
 from repro.api.schema import SchemaError, SimulateRequest, SweepRequest
 from repro.api.session import Session
+from repro.core.config import AcceleratorConfig
 from repro.engine.options import resolve_engine_options
+from tests.test_engine_backends import assert_results_identical
 
 FAST = dict(epochs=1, batches_per_epoch=1, batch_size=4, max_groups=8)
 
@@ -129,11 +131,35 @@ class TestSessionCaching:
         assert len(session._traces) == 1   # the seed-0 trace was evicted
 
     def test_different_configs_do_not_collide(self):
+        """A datatype twin reuses the fp32 compute parts (the kernel never
+        reads the datatype) but is finalized as bfloat16: the same cycles
+        and speedups, its own traffic and energy."""
         session = Session()
         fp32 = session.simulate("snli", datatype="fp32", **FAST)
         bf16 = session.simulate("snli", datatype="bfloat16", **FAST)
-        assert bf16.engine["layers_simulated"] > 0   # new config, new keys
-        assert fp32.result.speedups != {} and bf16.result.speedups != {}
+        assert fp32.engine["layers_simulated"] > 0
+        assert bf16.engine["layers_simulated"] == 0
+        assert bf16.engine["cache_hits"] == fp32.engine["layers_simulated"]
+        assert bf16.result.speedups == fp32.result.speedups != {}
+        assert bf16.result.overall_energy_efficiency != fp32.result.overall_energy_efficiency
+        fresh_session = Session()
+        assert fresh_session.simulate("snli", datatype="bfloat16", **FAST).result == bf16.result
+
+        def layer_results(owner, datatype):
+            trace = owner._trace("snli", 1, 1, 4, 0)
+            config = AcceleratorConfig().with_pe(datatype=datatype)
+            return owner._runner(config, 8).run_final_epoch(trace).layer_results
+
+        fp32_layers = layer_results(session, "fp32")
+        bf16_layers = layer_results(session, "bfloat16")
+        cycles = [
+            [(op.baseline_cycles, op.tensordash_cycles)
+             for result in layers for op in result.operations.values()]
+            for layers in (fp32_layers, bf16_layers)
+        ]
+        assert cycles[0] == cycles[1]
+        assert [r.traffic for r in bf16_layers] != [r.traffic for r in fp32_layers]
+        assert_results_identical(bf16_layers, layer_results(fresh_session, "bfloat16"))
 
     def test_explore_study_dir_persists_layer_results_on_disk(self, tmp_path):
         """The PR 2 contract survives the session layer: a study killed

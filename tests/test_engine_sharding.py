@@ -28,12 +28,11 @@ class TestSharedTier:
     def test_shared_cache_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         trace = make_conv_trace(rng)
-        result = LayerSimulator(max_groups=4).simulate_layer(trace)
+        [compute] = LayerSimulator(max_groups=4).compute_layers([trace])
         cache = ResultCache(tmp_path / "shared")
-        cache.store("k" * 64, result)
+        cache.store("k" * 64, compute)
         loaded = ResultCache(tmp_path / "shared").load("k" * 64)
-        assert loaded.operations == result.operations
-        assert loaded.traffic == result.traffic
+        assert loaded == compute
         assert cache.load("m" * 64) is None
 
     def test_second_engine_serves_from_shared_tier(self, tmp_path):

@@ -19,7 +19,7 @@ class TestRoundTrips:
         stats = EngineStats(
             cache_dir="/tmp/c",
             layers_simulated=10, cache_hits=7, cache_misses=3,
-            memo_hits=4, disk_hits=3,
+            memo_hits=4, disk_hits=3, traces_trained=2, traces_loaded=1,
         )
         rebuilt = EngineStats.from_dict(stats.as_dict())
         assert rebuilt == stats
@@ -59,11 +59,12 @@ class TestRoundTrips:
     def test_since_yields_exact_deltas_with_current_metadata(self):
         before = EngineStats(
             layers_simulated=3, cache_hits=1,
-            cache_misses=2, memo_hits=1,
+            cache_misses=2, memo_hits=1, traces_trained=1,
         )
         after = EngineStats(
             cache_dir="/tmp/c", layers_simulated=10,
             cache_hits=5, cache_misses=7, memo_hits=2, disk_hits=3,
+            traces_trained=1, traces_loaded=2,
         )
         delta = after.since(before)
         assert delta.cache_dir == "/tmp/c"
@@ -71,6 +72,7 @@ class TestRoundTrips:
         assert delta.cache_hits == 4
         assert delta.cache_misses == 5
         assert (delta.memo_hits, delta.disk_hits) == (1, 3)
+        assert (delta.traces_trained, delta.traces_loaded) == (0, 2)
         # The delta survives its own serialisation round-trip.
         assert EngineStats.from_dict(delta.as_dict()) == delta
 

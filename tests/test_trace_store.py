@@ -155,6 +155,17 @@ def test_second_session_loads_the_trace_instead_of_training(
     assert metrics.TRACE_STORE.value(result="hit") == hits + 1
 
 
+def test_envelope_counts_trained_and_loaded_traces(tmp_path):
+    session = Session(cache_dir=str(tmp_path))
+    first = session.simulate("snli", **FAST)
+    repeat = session.simulate("snli", **FAST)   # the session's trace memo
+    loaded = Session(cache_dir=str(tmp_path)).simulate("snli", **FAST)
+    counts = [(r.engine["traces_trained"], r.engine["traces_loaded"])
+              for r in (first, repeat, loaded)]
+    assert counts == [(1, 0), (0, 0), (0, 1)]
+    assert session.stats()["engine"]["traces_trained"] == 1
+
+
 def test_sessions_without_a_cache_dir_leave_the_store_alone():
     before = [metrics.TRACE_STORE.value(result=r) for r in ("hit", "miss")]
     Session().simulate("snli", **FAST)
