@@ -12,13 +12,10 @@ the shape of each result (who wins, by roughly what factor, where the
 trends bend) is what the benchmarks reproduce and what their assertions
 check.
 
-Simulation runs through the engine (:mod:`repro.engine`); two
-environment variables steer it without touching any benchmark:
-
-* ``REPRO_CACHE_DIR`` — enable the on-disk result cache so repeated
-  harness runs skip already-simulated layers;
-* ``REPRO_STUDY_JOBS`` — worker processes for study-level parallelism
-  in the DSE benchmark (:func:`study_kwargs`).
+Simulation runs through the engine (:mod:`repro.engine`);
+``REPRO_CACHE_DIR`` steers it without touching any benchmark, enabling
+the on-disk result cache so repeated harness runs skip
+already-simulated layers.
 """
 
 from __future__ import annotations
@@ -52,19 +49,6 @@ def engine_kwargs() -> Dict[str, object]:
 
     return {"cache_dir": resolve_engine_options().cache_dir}
 
-
-def study_kwargs() -> Dict[str, object]:
-    """Study-runner configuration: engine knobs plus ``study_jobs``.
-
-    Same single-resolution rule as :func:`engine_kwargs` — the
-    ``REPRO_STUDY_JOBS`` environment variable steers study-level
-    parallelism identically for the CLI, the API session and the
-    benchmark harness.
-    """
-    from repro.engine.options import resolve_engine_options
-
-    options = resolve_engine_options()
-    return {**engine_kwargs(), "study_jobs": options.study_jobs}
 
 #: The models the headline per-model figures sweep (paper order).
 BENCH_MODELS: List[str] = list(PAPER_MODELS)

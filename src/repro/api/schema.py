@@ -280,9 +280,6 @@ class SweepRequest(_ApiModel):
     seed: Optional[int] = None
     #: See :class:`ScaleRequest`; raise it when sweeping ``num_devices``.
     trace_max_batch: Optional[int] = None
-    #: Worker processes for the sweep's study execution; ``None`` defers
-    #: to the session's resolved ``study_jobs`` (1 = serial).
-    study_jobs: Optional[int] = None
 
     def validate(self) -> None:
         owner = type(self).__name__
@@ -319,8 +316,6 @@ class SweepRequest(_ApiModel):
             _check_int(owner, "seed", self.seed, minimum=-(2 ** 31))
         if self.trace_max_batch is not None:
             _check_int(owner, "trace_max_batch", self.trace_max_batch)
-        if self.study_jobs is not None:
-            _check_int(owner, "study_jobs", self.study_jobs)
 
 
 @dataclass
@@ -339,9 +334,6 @@ class ExploreRequest(_ApiModel):
     seed: Optional[int] = None
     #: Frontier objectives overriding the spec's, e.g. ``["speedup"]``.
     objectives: Optional[List[str]] = None
-    #: Worker processes for study execution; ``None`` defers to the
-    #: session's resolved ``study_jobs`` (1 = serial).
-    study_jobs: Optional[int] = None
 
     def validate(self) -> None:
         owner = type(self).__name__
@@ -357,8 +349,6 @@ class ExploreRequest(_ApiModel):
             _check_int(owner, "sample", self.sample)
         if self.seed is not None:
             _check_int(owner, "seed", self.seed, minimum=-(2 ** 31))
-        if self.study_jobs is not None:
-            _check_int(owner, "study_jobs", self.study_jobs)
         if self.objectives is not None:
             if not isinstance(self.objectives, (list, tuple)) or not self.objectives:
                 raise SchemaError(

@@ -44,14 +44,8 @@ Requests are served by a :class:`~http.server.ThreadingHTTPServer`; the
 session serialises simulation under its lock, so many clients safely
 share one engine — the second client POSTing a workload the first already
 ran gets pure cache hits, visible both in its own envelope's ``engine``
-delta and in ``/v1/stats``.
-
-Study requests (``/v1/sweep`` / ``/v1/explore``) may carry a
-``study_jobs`` field to fan their points across worker processes; it
-passes straight through to the session (``--study-jobs`` /
-``REPRO_STUDY_JOBS`` set the server-wide default), and each worker's
-engine joins the server's shared cache tier when one is configured —
-see ``docs/performance.md``.
+delta and in ``/v1/stats``.  Study requests (``/v1/sweep`` /
+``/v1/explore``) run in the server process on that same engine.
 
 HTTP semantics are strict: invalid documents return ``400`` with
 ``{"error": ..., "field": ...}`` naming the offending field; unknown

@@ -98,11 +98,6 @@ class Session:
         (:mod:`repro.telemetry`) and every ``submit`` then records a
         ``session.submit`` span tree plus a metrics snapshot to the
         JSONL event log there.
-    study_jobs:
-        Default worker-process count for study execution (``repro
-        explore`` / ``repro sweep``); ``None`` falls back to
-        ``REPRO_STUDY_JOBS``, then serial.  Per-request ``study_jobs``
-        fields override it.
     seed:
         Default model/dataset seed for requests that leave ``seed``
         unset (the CLI default is 0, so identical invocations produce
@@ -122,14 +117,12 @@ class Session:
         self,
         cache_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
-        study_jobs: Optional[int] = None,
         seed: int = 0,
         environ: Optional[Dict[str, str]] = None,
         max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
-            cache_dir=cache_dir, telemetry_dir=telemetry_dir,
-            study_jobs=study_jobs, environ=environ,
+            cache_dir=cache_dir, telemetry_dir=telemetry_dir, environ=environ,
         )
         if self.options.telemetry_dir:
             # Enable (or reuse) the process-wide tracer; sessions built
@@ -462,14 +455,8 @@ class Session:
             report=report.as_dict(),
         )
 
-    def _study_runner(self, spec, study_dir=None, emit_trace=True,
-                      study_jobs=None):
-        """A study runner wired onto the session engine and trace cache.
-
-        ``study_jobs`` (a per-request override, else the session's
-        resolved option) fans point groups across worker processes;
-        workers join the study's disk cache.
-        """
+    def _study_runner(self, spec, study_dir=None):
+        """A study runner wired onto the session engine and trace cache."""
         from repro.explore.runner import StudyRunner
 
         def trace_fn(workload: str):
@@ -479,15 +466,8 @@ class Session:
                 trace_max_batch=spec.trace_max_batch,
             )
 
-        if study_jobs is None:
-            study_jobs = self.options.study_jobs
         return StudyRunner(
-            spec,
-            study_dir=study_dir,
-            cache_dir=self.options.cache_dir,
-            engine=self.engine,
-            study_jobs=study_jobs,
-            trace_fn=trace_fn,
+            spec, study_dir=study_dir, engine=self.engine, trace_fn=trace_fn
         )
 
     def _run_sweep(
@@ -516,13 +496,7 @@ class Session:
             objectives=objectives,
         )
         emit(f"Training {request.model} once; sweeping {request.knob} over {values}...")
-        runner = self._study_runner(spec, study_jobs=request.study_jobs)
-        study = runner.run(on_event=on_event)
-        # Points executed in study worker processes never touched this
-        # engine's counters; fold the exact per-worker deltas in so the
-        # request envelope and /v1/stats stay truthful under --study-jobs.
-        for delta in runner.worker_stats:
-            self.engine.stats.absorb(delta)
+        study = self._study_runner(spec).run(on_event=on_event)
         return SweepResult(
             model=request.model,
             knob=request.knob,
@@ -537,9 +511,7 @@ class Session:
         from repro.explore.report import study_to_dict
 
         spec = request.resolved_spec()
-        runner = self._study_runner(
-            spec, study_dir=request.study_dir, study_jobs=request.study_jobs
-        )
+        runner = self._study_runner(spec, study_dir=request.study_dir)
         # Studies with a study_dir persist layer results on disk (the
         # PR 2 contract: a killed study resumes in a *new process* with
         # layer-level cache hits).  The shared engine normally has no
@@ -551,10 +523,6 @@ class Session:
             study = runner.run(
                 resume=request.resume, progress=progress, on_event=on_event
             )
-        # As in _run_sweep: worker-process simulation is invisible to the
-        # session engine until its exact deltas are absorbed.
-        for delta in runner.worker_stats:
-            self.engine.stats.absorb(delta)
         return ExploreResult(study=study_to_dict(study, request.objectives))
 
     def _run_diff(

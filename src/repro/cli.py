@@ -293,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-max-batch", type=int, default=None,
         help="traced samples kept per convolutional layer; raise to the "
              "largest value when sweeping num_devices (default: 4)")
-    sweep.add_argument(
-        "--study-jobs", type=int, default=None,
-        help="worker processes executing sweep points in parallel, each "
-             "with its own engine on the sweep's cache stack "
-             "(default: $REPRO_STUDY_JOBS, else serial)")
     _add_engine_arguments(sweep)
 
     explore = subparsers.add_parser(
@@ -328,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--output", default=None,
         help="write the report to this file instead of stdout")
-    explore.add_argument(
-        "--study-jobs", type=int, default=None,
-        help="worker processes executing study points in parallel, each "
-             "with its own engine on the study's cache stack; checkpoints "
-             "and results are identical to a serial run "
-             "(default: $REPRO_STUDY_JOBS, else serial)")
     _add_engine_arguments(explore, seed_default=None)
 
     diff = subparsers.add_parser(
@@ -392,11 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append one structured JSON line per HTTP "
                             "response (method, path, status, duration, "
                             "sizes) to this file; off by default")
-    serve.add_argument(
-        "--study-jobs", type=int, default=None,
-        help="default worker processes for POSTed sweep/explore studies; "
-             "per-request study_jobs fields override it "
-             "(default: $REPRO_STUDY_JOBS, else serial)")
     serve.add_argument(
         "--job-workers", type=int, default=2,
         help="worker threads executing asynchronous /v1/jobs submissions "
@@ -485,7 +469,6 @@ def _session_for(args: argparse.Namespace):
     return Session(
         cache_dir=args.cache_dir,
         telemetry_dir=getattr(args, "telemetry_dir", None),
-        study_jobs=getattr(args, "study_jobs", None),
         seed=getattr(args, "seed", None) or 0,
     )
 
@@ -633,7 +616,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         model=args.model, knob=args.knob, values=values,
         epochs=args.epochs, max_groups=args.max_groups, seed=args.seed,
         trace_max_batch=args.trace_max_batch,
-        study_jobs=args.study_jobs,
     )
     result = _session_for(args).submit(request, progress=print)
     study = study_result_from_dict(result.result.study)
@@ -696,7 +678,6 @@ def _command_explore(args: argparse.Namespace) -> int:
         study_dir=args.study_dir,
         resume=args.resume,
         objectives=objectives,
-        study_jobs=args.study_jobs,
     )
     try:
         result = _session_for(args).submit(

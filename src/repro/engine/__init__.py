@@ -11,12 +11,11 @@ This package is the execution layer between the accelerator model
   :meth:`repro.simulation.cycle_sim.LayerSimulator.compute_layers`,
   finalizes every layer and tracks :class:`EngineStats`;
 * :mod:`repro.engine.options` — :func:`resolve_engine_options`, the single
-  place the cache-dir/telemetry/study-jobs precedence (argument >
-  ``REPRO_*`` env var > default) is decided for every entry point.
+  place the cache-dir/telemetry precedence (argument > ``REPRO_*`` env
+  var > default) is decided for every entry point.
 
-Multi-process execution is not an engine concern: the only parallelism
-layer is :class:`repro.explore.StudyExecutor`, whose workers each own an
-engine.
+There is no multi-process layer: each request, a study included, runs
+in one process on one engine.
 """
 
 from repro.engine.cache import (

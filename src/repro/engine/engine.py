@@ -125,22 +125,6 @@ class EngineStats:
         """An independent copy of the current counters."""
         return replace(self)
 
-    def absorb(self, other: "EngineStats") -> None:
-        """Add another record's counters into this one, exactly.
-
-        Metadata (``cache_dir``) is kept from ``self``; every counter —
-        including the per-tier hit attribution — is summed, so
-        aggregating N worker deltas reproduces the totals a single engine
-        doing all the work would have recorded.
-        """
-        self.layers_simulated += other.layers_simulated
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.memo_hits += other.memo_hits
-        self.disk_hits += other.disk_hits
-        self.traces_trained += other.traces_trained
-        self.traces_loaded += other.traces_loaded
-
     def since(self, earlier: "EngineStats") -> "EngineStats":
         """The activity between an earlier :meth:`snapshot` and now.
 

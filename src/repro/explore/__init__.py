@@ -23,19 +23,12 @@ one-knob-at-a-time sweeps into declarative *studies*:
     Pareto-dominance filtering, per-objective winners, and table / JSON /
     CSV reports.
 
-:class:`~repro.explore.executor.StudyExecutor`
-    Fans a study's point groups across a pool of worker processes
-    (``--study-jobs`` / ``REPRO_STUDY_JOBS``), each owning an engine on
-    the study's cache stack, with exact stats aggregation and
-    deterministic point-order merging.
-
 Everything is surfaced on the command line as ``repro explore
-<spec.json>`` (with ``--resume``, ``--study-jobs``, ``--sample N --seed
-S`` and ``--objectives``); ``repro sweep`` is a thin one-knob alias over
-the same machinery.
+<spec.json>`` (with ``--resume``, ``--sample N --seed S`` and
+``--objectives``); ``repro sweep`` is a thin one-knob alias over the
+same machinery.
 """
 
-from repro.explore.executor import StudyExecutor
 from repro.explore.runner import (
     PointResult,
     StudyResult,
@@ -74,7 +67,6 @@ __all__ = [
     "parse_scenario",
     "apply_scenario",
     "StudyRunner",
-    "StudyExecutor",
     "StudyResult",
     "StudyResumeError",
     "PointResult",

@@ -20,12 +20,9 @@ skips every finished point, and layers simulated before the kill come
 back as cache hits — nothing is ever simulated twice.  Manifests
 written before the segment existed still load unchanged.
 
-With ``study_jobs > 1`` the remaining point groups fan out across a
-pool of worker processes (:class:`~repro.explore.executor.StudyExecutor`),
-each owning an engine on the same disk cache; results merge
-deterministically in point order and per-worker
-engine stats aggregate exactly.  ``study_jobs=1`` (the default) is
-byte-for-byte today's serial path.
+A study runs in one process on one engine, so points that differ only
+in fields the kernel does not read (datatype twins) share compute parts
+through its memo.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.analysis.frontier import Objective, best_per_objective, pareto_frontier
 from repro.energy.area_model import AreaModel
 from repro.engine.cache import write_atomic
-from repro.engine.engine import EngineStats
+from repro.engine.engine import EngineStats, SimulationEngine
 from repro.memory.hierarchy import bytes_per_cycle
 from repro.explore.scenarios import apply_scenario
 from repro.explore.spec import DesignPoint, StudySpec, parse_objectives
@@ -145,15 +142,10 @@ class StudyRunner:
         ``<study_dir>/cache`` so resumed studies get layer-level hits.
     engine:
         An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (``cache_dir`` then only labels reports and
-        worker engines).
-        This is how :class:`repro.api.Session` makes studies share its
-        warm cache.
-    study_jobs:
-        Worker processes to fan point groups across; ``None`` or ``1``
-        runs serially in this process.  Every worker engine joins
-        ``cache_dir`` (the parent's injected engine is not reconfigured),
-        so duplicate (compute key, trace) work collapses across workers.
+        point through (``cache_dir`` is then ignored).  This is how
+        :class:`repro.api.Session` makes studies share its warm cache.
+        Without one the runner builds its own engine on ``cache_dir``,
+        with the in-process memo on.
     trace_fn:
         Optional ``workload name -> TrainingTrace`` provider overriding
         the built-in train-and-trace step — e.g. a session-level trace
@@ -165,16 +157,11 @@ class StudyRunner:
         spec: StudySpec,
         study_dir: Optional[Union[str, Path]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        engine=None,
-        study_jobs: Optional[int] = None,
+        engine: Optional[SimulationEngine] = None,
         trace_fn: Optional[Callable[[str], object]] = None,
     ):
-        if study_jobs is not None and study_jobs < 1:
-            raise ValueError(f"study_jobs must be >= 1, got {study_jobs}")
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
-        self.engine = engine
-        self.study_jobs = study_jobs or 1
         self._trace_fn = trace_fn
         if self.study_dir is not None:
             try:
@@ -185,11 +172,15 @@ class StudyRunner:
                 ) from exc
             if cache_dir is None:
                 cache_dir = self.study_dir / "cache"
-        self.cache_dir = str(cache_dir) if cache_dir else None
+        if engine is None:
+            engine = SimulationEngine(
+                cache_dir=cache_dir, max_groups=spec.max_groups,
+                memory_cache=True,
+            )
+        self.engine = engine
         self._traces: Dict[str, object] = {}
         self._scenario_traces: Dict[tuple, EpochTrace] = {}
-        self._runners: "OrderedDict[str, ExperimentRunner]" = OrderedDict()
-        self._worker_stats: List[EngineStats] = []
+        self._runners: Dict[str, ExperimentRunner] = {}
         self._segment_handle = None
 
     # ------------------------------------------------------------------
@@ -206,17 +197,6 @@ class StudyRunner:
         if self.study_dir is None:
             return None
         return self.study_dir / "manifest.segment.jsonl"
-
-    @property
-    def worker_stats(self) -> List[EngineStats]:
-        """Exact per-chunk engine-stats deltas reported by study workers.
-
-        Empty after a serial run.  Work done in worker processes never
-        touches the parent engine's counters, so callers owning that
-        engine (e.g. a :class:`repro.api.Session`) must absorb these to
-        keep their own per-request deltas exact.
-        """
-        return list(self._worker_stats)
 
     def _check_fingerprint(self, fingerprint, path: Path) -> None:
         if fingerprint != self.spec.fingerprint():
@@ -371,10 +351,7 @@ class StudyRunner:
         key = repr(config)
         if key not in self._runners:
             self._runners[key] = ExperimentRunner(
-                config,
-                max_groups=self.spec.max_groups,
-                cache_dir=self.cache_dir,
-                engine=self.engine,
+                config, max_groups=self.spec.max_groups, engine=self.engine
             )
         return self._runners[key]
 
@@ -465,10 +442,7 @@ class StudyRunner:
     def _execute_group(self, group: List[DesignPoint]) -> List[PointResult]:
         """Run one same-config point group through a batched engine pass.
 
-        Pure compute: no checkpointing or metrics — the caller records
-        each result (in the parent process, whichever process executed
-        the group).  Spans still trace the work; inside a study worker
-        the tracer is disabled, so only parent-side spans reach the log.
+        No checkpointing or metrics here: the caller records each result.
         """
         tracer = get_tracer()
         runner = self._runner_for(group[0])
@@ -486,7 +460,6 @@ class StudyRunner:
             with tracer.span(
                 "study.point", point_id=point.point_id,
                 workload=point.workload, scenario=point.scenario,
-                worker=0,
             ) as span:
                 record = self._measure(point, runner, model_result)
                 span.set(speedup=round(record.metrics["speedup"], 6))
@@ -510,15 +483,19 @@ class StudyRunner:
         mid-point.
 
         ``on_event`` receives one structured dict per completed point
-        (``{"type": "point", "done": n, "total": m, ...}``), fired in
-        the parent process *after* the point is checkpointed to the
-        manifest segment.  Either callback may raise to abort the study
-        at that boundary — completed points stay checkpointed, so a
-        later ``resume=True`` run skips them (how job cancellation
-        composes with resumability).
+        (``{"type": "point", "done": n, "total": m, ...}``), fired
+        *after* the point is checkpointed to the manifest segment.
+        Either callback may raise to abort the study at that boundary —
+        completed points stay checkpointed, so a later ``resume=True``
+        run skips them (how job cancellation composes with
+        resumability).
+
+        The result's ``stats`` count this run's engine work alone, even
+        on a shared engine.
         """
         emit = progress or (lambda message: None)
         notify = on_event or (lambda event: None)
+        before = self.engine.stats.snapshot()
         points = self.spec.expand()
         completed: Dict[str, PointResult] = {}
         # Every record the manifest will hold — a superset of `completed`
@@ -558,65 +535,28 @@ class StudyRunner:
 
         done = resumed
         total = len(points)
-        tracer = get_tracer()
-
-        def record_point(record: PointResult) -> None:
-            nonlocal done
-            completed[record.point_id] = record
-            stored[record.point_id] = record
-            self._append_segment(record)
-            _metrics.STUDY_POINTS.inc()
-            _metrics.STALL_FRACTION.observe(record.metrics["stall_fraction"])
-            done += 1
-            emit(f"[{done}/{total}] {record.label}: "
-                 f"speedup {record.metrics['speedup']:.3f}x")
-            notify({
-                "type": "point",
-                "done": done,
-                "total": total,
-                "point_id": record.point_id,
-                "workload": record.workload,
-                "scenario": record.scenario,
-                "label": record.label,
-                "speedup": round(record.metrics["speedup"], 6),
-            })
-
-        def merge_unit(records, stats, worker: int) -> None:
-            for record in records:
-                with tracer.span(
-                    "study.point", point_id=record.point_id,
-                    workload=record.workload, scenario=record.scenario,
-                    worker=worker,
-                ) as span:
-                    span.set(speedup=round(record.metrics["speedup"], 6))
-                record_point(record)
-            if stats is not None:
-                self._worker_stats.append(stats)
-
-        workers = 0
         try:
             self._open_segment()
-            if self.study_jobs > 1 and groups:
-                from repro.explore.executor import StudyExecutor
-
-                # Workers never train — memoize every scenario trace
-                # here so the payload ships them ready-made.
-                for group in groups.values():
-                    for point in group:
-                        self._scenario_trace(point.workload, point.scenario)
-                executor = StudyExecutor(self, jobs=self.study_jobs)
-                workers = executor.run(list(groups.values()), merge_unit)
-            _metrics.STUDY_WORKERS.set(workers or 1)
-            # Serial path — and the exact finisher for anything a broken
-            # pool left behind (completed points are skipped).
             for group in groups.values():
-                pending = [
-                    point for point in group if point.point_id not in completed
-                ]
-                if not pending:
-                    continue
-                for record in self._execute_group(pending):
-                    record_point(record)
+                for record in self._execute_group(group):
+                    completed[record.point_id] = record
+                    stored[record.point_id] = record
+                    self._append_segment(record)
+                    _metrics.STUDY_POINTS.inc()
+                    _metrics.STALL_FRACTION.observe(record.metrics["stall_fraction"])
+                    done += 1
+                    emit(f"[{done}/{total}] {record.label}: "
+                         f"speedup {record.metrics['speedup']:.3f}x")
+                    notify({
+                        "type": "point",
+                        "done": done,
+                        "total": total,
+                        "point_id": record.point_id,
+                        "workload": record.workload,
+                        "scenario": record.scenario,
+                        "label": record.label,
+                        "speedup": round(record.metrics["speedup"], 6),
+                    })
         finally:
             self._close_segment()
         self._compact(stored)
@@ -625,31 +565,9 @@ class StudyRunner:
         return StudyResult(
             spec=self.spec,
             points=results,
-            stats=self._aggregate_stats(),
+            stats=self.engine.stats.since(before),
             resumed_points=resumed,
         )
-
-    def _aggregate_stats(self) -> EngineStats:
-        """Engine counters summed across every per-config runner + worker.
-
-        Runners sharing one injected engine contribute its counters only
-        once (the counters are engine-level, not per-runner) — but note
-        that a shared engine's totals then cover the engine's whole
-        lifetime, not just this study; callers wanting per-study numbers
-        should snapshot/diff with :meth:`EngineStats.since`.  Study
-        workers report an exact per-chunk delta as results merge, so the
-        parallel totals count exactly the work every worker did.
-        """
-        totals = EngineStats(cache_dir=self.cache_dir)
-        seen = set()
-        for runner in self._runners.values():
-            if id(runner.engine) in seen:
-                continue
-            seen.add(id(runner.engine))
-            totals.absorb(runner.engine_stats)
-        for delta in self._worker_stats:
-            totals.absorb(delta)
-        return totals
 
 
 def run_study(
@@ -657,14 +575,8 @@ def run_study(
     study_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     cache_dir: Optional[Union[str, Path]] = None,
-    study_jobs: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> StudyResult:
     """One-call convenience wrapping :class:`StudyRunner`."""
-    runner = StudyRunner(
-        spec,
-        study_dir=study_dir,
-        cache_dir=cache_dir,
-        study_jobs=study_jobs,
-    )
+    runner = StudyRunner(spec, study_dir=study_dir, cache_dir=cache_dir)
     return runner.run(resume=resume, progress=progress)

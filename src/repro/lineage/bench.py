@@ -67,7 +67,6 @@ WATCHED_METRICS: Dict[str, Tuple[WatchedMetric, ...]] = {
         WatchedMetric("layer_reduction", True, tolerance=0.0, gate=True),
     ),
     "dse_frontier": (
-        WatchedMetric("parallel_vs_serial.bit_identical", gate=True),
         WatchedMetric("points", True, tolerance=0.0, gate=True),
         WatchedMetric("frontier_size", True, tolerance=0.0, gate=True),
         WatchedMetric("wall_clock.cold_seconds", False),
@@ -141,9 +140,6 @@ BENCH_SCHEMAS: Dict[str, Tuple[str, ...]] = {
         "points",
         "frontier_size",
         "frontier",
-        "parallel_vs_serial.ratio",
-        "parallel_vs_serial.bit_identical",
-        "perf_gate.min_parallel_vs_serial",
     ),
     "engine_backends": (
         "backends.reference.seconds",

@@ -366,11 +366,6 @@ STUDY_POINTS = _DEFAULT_REGISTRY.counter(
     "repro_study_points_total",
     "Design-space study points executed (resumed points excluded).",
 )
-#: Worker processes executing the current/most recent study (1 = serial).
-STUDY_WORKERS = _DEFAULT_REGISTRY.gauge(
-    "repro_study_workers",
-    "Worker processes executing design-space study points (1 = serial).",
-)
 #: HTTP traffic served by ``repro serve``.
 HTTP_REQUESTS = _DEFAULT_REGISTRY.counter(
     "repro_http_requests_total",

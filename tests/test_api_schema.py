@@ -159,6 +159,15 @@ class TestValidationErrors:
             SimulateRequest.from_dict({"model": "snli", "epoch": 3})
         assert self._field_of(excinfo) == "SimulateRequest.epoch"
 
+    @pytest.mark.parametrize("request_type, payload", [
+        (SweepRequest, {"model": "snli"}),
+        (ExploreRequest, {"spec": TINY_SPEC}),
+    ], ids=["sweep", "explore"])
+    def test_removed_study_jobs_field_rejected(self, request_type, payload):
+        with pytest.raises(SchemaError) as excinfo:
+            request_type.from_dict(dict(payload, study_jobs=2))
+        assert self._field_of(excinfo) == f"{request_type.__name__}.study_jobs"
+
     def test_missing_required_field(self):
         with pytest.raises(SchemaError) as excinfo:
             SimulateRequest.from_dict({"epochs": 2})

@@ -187,6 +187,16 @@ class TestServe:
         assert payload["field"] == "study_dir"
         assert "--study-root" in payload["error"]
 
+    @pytest.mark.parametrize("path, body, field", [
+        ("/v1/sweep", {"model": "snli"}, "SweepRequest.study_jobs"),
+        ("/v1/explore", {"spec": {"name": "t", "workloads": ["snli"]}},
+         "ExploreRequest.study_jobs"),
+    ], ids=["sweep", "explore"])
+    def test_removed_study_jobs_field_is_400(self, server_url, path, body, field):
+        status, payload = _post(server_url + path, dict(body, study_jobs=2))
+        assert status == 400
+        assert payload["field"] == field
+
     def test_sweep_endpoint_runs_a_study(self, server_url):
         status, payload = _post(server_url + "/v1/sweep", {
             "model": "snli", "knob": "staging", "values": [2, 3],

@@ -40,13 +40,24 @@ class TestEngineOptionResolution:
         with pytest.raises(TypeError, match="backend"):
             Session(backend="parallel", environ={})
 
+    def test_study_jobs_argument_is_gone(self):
+        """A study runs in one process: there is no worker-count knob."""
+        with pytest.raises(TypeError, match="study_jobs"):
+            Session(study_jobs=2, environ={})
+        with pytest.raises(TypeError, match="study_jobs"):
+            resolve_engine_options(study_jobs=2, environ={})
+
     def test_session_resolves_through_the_same_helper(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        environ = {"REPRO_CACHE_DIR": cache_dir, "REPRO_BACKEND": "reference"}
+        environ = {
+            "REPRO_CACHE_DIR": cache_dir, "REPRO_BACKEND": "reference",
+            "REPRO_STUDY_JOBS": "2",
+        }
         session = Session(environ=environ)
         assert session.options == resolve_engine_options(environ=environ)
         assert session.engine.stats.cache_dir == cache_dir
         assert "backend" not in session.stats()["options"]
+        assert "study_jobs" not in session.stats()["options"]
 
 
 class TestSessionCaching:

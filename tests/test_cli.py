@@ -58,6 +58,18 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "snli", "--knob", "staging", "--values", "2,3"],
+        ["explore", "spec.json"],
+        ["serve"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_study_jobs_flag_is_a_usage_error(self, argv, capsys):
+        """A study runs in one process: ``--study-jobs`` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--study-jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --study-jobs" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         from repro import __version__
 

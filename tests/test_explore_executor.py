@@ -1,25 +1,20 @@
-"""Tests for parallel study execution and append-only manifest segments.
+"""Tests for serial study execution and append-only manifest segments.
 
-Covers the :class:`repro.explore.StudyExecutor` worker pool (bit-identity
-with the serial path, exact stats aggregation, serial fallback), the
-append-only JSONL checkpoint segment (O(N) checkpoint bytes, kill-and-
-resume from the segment, truncation tolerance, compaction), and the
-``study_jobs`` knob's resolution through options, schema and CLI.
+Covers the one-engine-per-study contract (a direct :class:`StudyRunner`
+shares datatype twins' compute parts exactly as a session does), warm
+reruns and per-point spans, and the append-only JSONL checkpoint segment
+(O(N) checkpoint bytes, kill-and-resume from the segment, truncation
+tolerance, compaction).
 """
 
 import json
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.api.schema import ExploreRequest, SchemaError, SweepRequest
-from repro.cli import main
-from repro.engine.options import resolve_engine_options
-from repro.explore import StudyExecutor, StudyRunner, StudySpec
-from repro.explore.executor import plan_units
-from repro.telemetry import metrics as _metrics
+from repro.api.schema import ExploreRequest
+from repro.api.session import Session
+from repro.explore import StudyRunner, StudySpec, run_study
 
 
 def tiny_spec(**overrides):
@@ -51,56 +46,69 @@ def records(result):
 
 
 # ----------------------------------------------------------------------
-# parallel execution
+# one engine per study
+
+
+class TestOneEnginePerStudy:
+    """Every path runs a study on one engine, so datatype twins share."""
+
+    @pytest.fixture(scope="class")
+    def twin_spec(self):
+        # rows changes the compute key; datatype does not, so each
+        # bfloat16 point is its fp32 twin's compute part re-finalized.
+        return tiny_spec(
+            name="twins", knobs={"rows": [1, 4], "datatype": ["fp32", "bfloat16"]}
+        )
+
+    @pytest.fixture(scope="class")
+    def session_run(self, twin_spec):
+        return Session().submit(ExploreRequest(spec=twin_spec.to_dict()))
+
+    def test_direct_runner_simulates_what_a_session_simulates(
+        self, twin_spec, session_run
+    ):
+        direct = StudyRunner(twin_spec).run()
+        assert direct.stats.layers_simulated == session_run.engine["layers_simulated"]
+        assert direct.stats.cache_hits == session_run.engine["cache_hits"]
+        assert direct.stats.cache_hits == direct.stats.layers_simulated
+        assert records(direct) == session_run.result.study["points"]
+
+    def test_run_study_shares_twins(self, twin_spec, session_run, tmp_path):
+        result = run_study(twin_spec, study_dir=tmp_path / "study")
+        assert result.stats.layers_simulated == session_run.engine["layers_simulated"]
+        assert result.stats.memo_hits == result.stats.cache_hits > 0
+
+    def test_stats_count_one_run_on_a_shared_engine(self, twin_spec):
+        runner = StudyRunner(twin_spec)
+        first = runner.run()
+        again = runner.run()
+        assert first.stats.layers_simulated > 0
+        assert again.stats.layers_simulated == 0
+        assert again.stats.cache_hits == first.stats.layers_total
+        assert records(again) == records(first)
+
+
+# ----------------------------------------------------------------------
+# serial execution (ids kept from the retired worker-pool tests)
 
 
 class TestParallelExecution:
-    def test_parallel_matches_serial_bit_identical(self, tmp_path):
-        spec = tiny_spec()
-        serial = StudyRunner(spec, study_dir=tmp_path / "serial").run()
-        parallel = StudyRunner(
-            spec, study_dir=tmp_path / "parallel", study_jobs=3
-        ).run()
-        assert records(serial) == records(parallel)
-        assert [p.point_id for p in serial.frontier()] == [
-            p.point_id for p in parallel.frontier()
-        ]
-
     def test_worker_stats_aggregate_exactly(self, tmp_path):
-        spec = tiny_spec()
-        serial = StudyRunner(spec, study_dir=tmp_path / "serial").run()
-        parallel = StudyRunner(
-            spec, study_dir=tmp_path / "parallel", study_jobs=2
-        ).run()
-        assert parallel.stats.layers_simulated == serial.stats.layers_simulated
-        assert parallel.stats.cache_misses == serial.stats.cache_misses
-        # Warm reruns: every hit is attributed to the tier that served it,
-        # whether the points ran in this process or on workers.
-        warm_serial = StudyRunner(spec, study_dir=tmp_path / "serial").run()
-        warm_parallel = StudyRunner(
-            spec, study_dir=tmp_path / "parallel", study_jobs=2
-        ).run()
-        for stats in (warm_serial.stats, warm_parallel.stats):
-            assert stats.cache_hits > 0
-            assert stats.cache_hits == stats.memo_hits + stats.disk_hits
-        assert warm_serial.stats.cache_hits == warm_parallel.stats.cache_hits
-
-    def test_study_workers_gauge(self, tmp_path):
+        """A warm rerun attributes every hit to the tier that served it."""
         spec = tiny_spec()
         StudyRunner(spec, study_dir=tmp_path / "serial").run()
-        assert _metrics.STUDY_WORKERS.value() == 1
-        StudyRunner(spec, study_dir=tmp_path / "parallel", study_jobs=2).run()
-        assert _metrics.STUDY_WORKERS.value() == 2
+        warm = StudyRunner(spec, study_dir=tmp_path / "serial").run()
+        assert warm.stats.cache_hits > 0
+        assert warm.stats.cache_hits == warm.stats.memo_hits + warm.stats.disk_hits
 
     def test_point_spans_carry_worker_attribute(self, tmp_path):
+        """Each point emits one ``study.point`` span; none names a worker."""
         from repro.telemetry import tracing
 
         telemetry = tmp_path / "telemetry"
         tracing.configure(telemetry)
         try:
-            StudyRunner(
-                tiny_spec(), study_dir=tmp_path / "study", study_jobs=2
-            ).run()
+            result = StudyRunner(tiny_spec(), study_dir=tmp_path / "study").run()
         finally:
             tracing.configure(None)
         spans = [
@@ -112,71 +120,12 @@ class TestParallelExecution:
             s for s in spans
             if s.get("type") == "span" and s.get("name") == "study.point"
         ]
-        assert point_spans
-        assert all("worker" in s.get("attributes", {}) for s in point_spans)
-        assert any(s["attributes"]["worker"] >= 1 for s in point_spans)
-
-    def test_broken_pool_falls_back_to_serial(self, tmp_path, monkeypatch):
-        from repro.explore import executor as executor_module
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes in this sandbox")
-
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", ExplodingPool
+        assert sorted(s["attributes"]["point_id"] for s in point_spans) == sorted(
+            point.point_id for point in result.points
         )
-        spec = tiny_spec()
-        result = StudyRunner(
-            spec, study_dir=tmp_path / "study", study_jobs=4
-        ).run()
-        assert len(result.points) == len(spec.expand())
-        assert _metrics.STUDY_WORKERS.value() == 1
-
-    def test_executor_rejects_bad_jobs(self):
-        runner = StudyRunner(tiny_spec())
-        with pytest.raises(ValueError, match="jobs"):
-            StudyExecutor(runner, jobs=0)
-
-    def test_runner_rejects_bad_study_jobs(self):
-        with pytest.raises(ValueError, match="study_jobs"):
-            StudyRunner(tiny_spec(), study_jobs=0)
-
-    def test_plan_units_chunks_within_config_groups(self):
-        groups = [list(range(8)), list(range(8, 12))]
-        units = plan_units(groups, jobs=2)
-        # Chunks never mix groups, cover every point exactly once, and
-        # there are enough of them to feed both workers.
-        flattened = [point for unit in units for point in unit]
-        assert sorted(flattened) == list(range(12))
-        assert len(units) >= 2
-        for unit in units:
-            assert unit == sorted(unit)
-            assert max(unit) - min(unit) == len(unit) - 1
-
-    @settings(max_examples=5, deadline=None)
-    @given(
-        study_jobs=st.integers(min_value=1, max_value=4),
-        rows=st.lists(
-            st.sampled_from([1, 2, 4]), min_size=1, max_size=2, unique=True
-        ),
-        staging=st.lists(
-            st.sampled_from([2, 3]), min_size=1, max_size=2, unique=True
-        ),
-        scenario=st.sampled_from(["traced", "random:0.5"]),
-    )
-    def test_property_parallel_bit_identical(
-        self, study_jobs, rows, staging, scenario
-    ):
-        spec = tiny_spec(
-            name="prop",
-            knobs={"rows": rows, "staging": staging},
-            scenarios=[scenario],
-        )
-        serial = StudyRunner(spec).run()
-        parallel = StudyRunner(spec, study_jobs=study_jobs).run()
-        assert records(serial) == records(parallel)
-        assert serial.stats.layers_simulated == parallel.stats.layers_simulated
+        for span in point_spans:
+            assert "speedup" in span["attributes"]
+            assert "worker" not in span["attributes"]
 
 
 # ----------------------------------------------------------------------
@@ -313,98 +262,3 @@ class TestManifestSegment:
         # checkpointing would make this ratio ~9x).
         ratio = large["segment_bytes"] / small["segment_bytes"]
         assert ratio < 5.0
-
-
-# ----------------------------------------------------------------------
-# knob resolution and request plumbing
-
-
-class TestStudyJobsKnob:
-    def test_env_resolution(self):
-        options = resolve_engine_options(environ={"REPRO_STUDY_JOBS": "3"})
-        assert options.study_jobs == 3
-
-    def test_argument_beats_env(self):
-        options = resolve_engine_options(
-            study_jobs=2, environ={"REPRO_STUDY_JOBS": "7"}
-        )
-        assert options.study_jobs == 2
-
-    def test_default_is_serial(self):
-        assert resolve_engine_options(environ={}).study_jobs is None
-
-    def test_invalid_env_value(self):
-        with pytest.raises(ValueError, match="REPRO_STUDY_JOBS"):
-            resolve_engine_options(environ={"REPRO_STUDY_JOBS": "many"})
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="study_jobs"):
-            resolve_engine_options(study_jobs=0, environ={})
-
-    def test_as_dict_carries_study_jobs(self):
-        options = resolve_engine_options(study_jobs=4, environ={})
-        assert options.as_dict()["study_jobs"] == 4
-
-    def test_explore_request_roundtrip(self):
-        request = ExploreRequest(
-            spec=tiny_spec().to_dict(), study_jobs=2
-        )
-        clone = ExploreRequest.from_dict(request.to_dict())
-        assert clone.study_jobs == 2
-
-    def test_explore_request_rejects_zero(self):
-        with pytest.raises(SchemaError, match="study_jobs"):
-            ExploreRequest(spec=tiny_spec().to_dict(), study_jobs=0)
-
-    def test_sweep_request_rejects_zero(self):
-        with pytest.raises(SchemaError, match="study_jobs"):
-            SweepRequest(model="snli", study_jobs=0)
-
-    def test_sweep_request_roundtrip(self):
-        request = SweepRequest(model="snli", study_jobs=3)
-        assert SweepRequest.from_dict(request.to_dict()).study_jobs == 3
-
-    def test_session_threads_study_jobs(self):
-        from repro.api.session import Session
-
-        session = Session(environ={"REPRO_STUDY_JOBS": "2"})
-        runner = session._study_runner(tiny_spec())
-        assert runner.study_jobs == 2
-        # A per-request override wins over the session default.
-        runner = session._study_runner(tiny_spec(), study_jobs=3)
-        assert runner.study_jobs == 3
-
-    def test_session_envelope_absorbs_worker_stats(self):
-        """The per-request engine delta counts worker-process simulation.
-
-        Workers own private engines, so without absorbing their deltas a
-        parallel study would report ``layers_simulated == 0`` — hiding
-        all the work from the envelope and /v1/stats.
-        """
-        from repro.api.schema import ExploreRequest
-        from repro.api.session import Session
-
-        spec = tiny_spec().to_dict()
-        serial = Session().submit(ExploreRequest(spec=spec))
-        parallel = Session().submit(ExploreRequest(spec=spec, study_jobs=2))
-        assert serial.engine["layers_simulated"] > 0
-        assert (
-            parallel.engine["layers_simulated"]
-            == serial.engine["layers_simulated"]
-        )
-        serial_points = serial.result.study["points"]
-        assert serial_points == parallel.result.study["points"]
-
-    def test_cli_explore_study_jobs(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec().to_dict()))
-        exit_code = main([
-            "explore", str(spec_path),
-            "--study-dir", str(tmp_path / "study"),
-            "--study-jobs", "2",
-        ])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "Pareto frontier" in out
-        manifest = json.loads((tmp_path / "study" / "manifest.json").read_text())
-        assert len(manifest["completed"]) == 4

@@ -309,6 +309,13 @@ class TestHttpSemantics:
         assert status == 400
         assert payload["field"] == "request.kind"
 
+    def test_removed_study_jobs_field_is_400(self, service):
+        status, payload, _ = _request(
+            service + "/v1/jobs", "POST",
+            {"kind": "sweep", "model": "snli", "study_jobs": 2})
+        assert status == 400
+        assert payload["field"] == "SweepRequest.study_jobs"
+
     def test_unknown_job_routes_are_404(self, service):
         for path in ("/v1/jobs/nope", "/v1/jobs/nope/result",
                      "/v1/jobs/nope/events"):
