@@ -10,9 +10,12 @@ through :class:`repro.explore.StudyRunner` three ways:
 * **warm cache** — manifest deleted (a simulated kill that lost all
   checkpoints), every layer re-served from the content-addressed cache.
 
-The run fails if the resumed or warm-cache passes simulate any layer, or
-if any pass disagrees with the cold frontier.  Results are printed as a
-table and emitted to ``BENCH_dse.json`` at the repository root.
+The run fails if the resumed or warm-cache passes simulate any layer, if
+the cold pass does not train each workload exactly once, if the
+warm-cache pass trains at all instead of loading every workload's trace
+from the study cache, or if any pass disagrees with the cold frontier.
+Results are printed as a table and emitted to ``BENCH_dse.json`` at the
+repository root.
 
 Run directly::
 
@@ -60,7 +63,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         study_dir = Path(tmp) / "study"
 
+        workloads = len(spec.workloads)
         cold, cold_seconds = _run(spec, study_dir, resume=False)
+        if (cold.stats.traces_trained, cold.stats.traces_loaded) != (workloads, 0):
+            raise AssertionError("cold pass did not train each workload once")
         resumed, resume_seconds = _run(spec, study_dir, resume=True)
         if resumed.stats.layers_simulated != 0:
             raise AssertionError("manifest resume re-simulated layers")
@@ -71,6 +77,8 @@ def main() -> int:
             raise AssertionError("warm-cache restart re-simulated layers")
         if warm.stats.cache_misses != 0:
             raise AssertionError("warm-cache restart missed the cache")
+        if (warm.stats.traces_trained, warm.stats.traces_loaded) != (0, workloads):
+            raise AssertionError("warm-cache restart retrained a stored trace")
 
     frontier = cold.frontier()
     for other, name in ((resumed, "resumed"), (warm, "warm-cache")):

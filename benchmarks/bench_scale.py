@@ -56,7 +56,7 @@ OVERHEAD_GATE = 0.05
 
 
 def _engine(config: AcceleratorConfig) -> SimulationEngine:
-    return SimulationEngine(config, max_groups=MAX_GROUPS, memory_cache=True)
+    return SimulationEngine(config, max_groups=MAX_GROUPS)
 
 
 def _best_of(callable_, repeats: int = 2) -> float:

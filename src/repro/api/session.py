@@ -5,8 +5,8 @@ Before this layer existed every entry point hand-assembled its own
 ``SimulationEngine`` stack.  A session resolves the engine knobs exactly
 once (explicit argument > ``REPRO_*`` env var > default, via
 :func:`repro.engine.resolve_engine_options`), builds exactly one
-:class:`~repro.engine.SimulationEngine` with the in-process result memo
-enabled, and serves every workflow through it:
+:class:`~repro.engine.SimulationEngine`, and serves every workflow
+through it:
 
 * ``simulate()`` / ``roofline()`` / ``scale()`` / ``sweep()`` /
   ``explore()`` — typed convenience wrappers that build the matching
@@ -14,11 +14,12 @@ enabled, and serves every workflow through it:
 * ``submit(request)`` — the single dispatch point the CLI, the
   ``repro serve`` batch service and programmatic callers all use.
 
-Everything expensive is cached across calls: training traces (keyed by
-workload + trace parameters), per-configuration runners, and — through
-the engine memo — every layer's compute part.  Two identical requests
-therefore train once and simulate once; the second is pure cache hits,
-which the per-request :class:`~repro.engine.EngineStats` delta in the
+Everything expensive is cached across calls, by the engine: training
+traces (:meth:`~repro.engine.engine.SimulationEngine.trace`, keyed by
+workload + trace parameters) and, through its memo, every layer's
+compute part.  Two identical requests therefore train once and simulate
+once; the second is pure cache hits, which the per-request
+:class:`~repro.engine.EngineStats` delta in the
 :class:`~repro.api.schema.ApiResult` envelope makes visible.  With a
 cache dir attached (``cache_dir``, or explore's ``<study_dir>/cache``),
 traces persist there too (:meth:`ResultCache.load_trace`), so a new
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro._version import __version__
 from repro.api.schema import (
@@ -65,10 +65,9 @@ from repro.api.schema import (
     _ApiModel,
 )
 from repro.core.config import AcceleratorConfig
-from repro.engine.cache import trace_key
 from repro.engine.engine import SimulationEngine
 from repro.engine.options import EngineOptions, resolve_engine_options
-from repro.models.registry import DEFAULT_LEARNING_RATE, trace_workload
+from repro.models.registry import trace_workload
 from repro.simulation.runner import ExperimentRunner
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import configure as configure_telemetry
@@ -104,13 +103,6 @@ class Session:
         identical traces and therefore cache hits).
     environ:
         Environment mapping for option resolution (tests pass a dict).
-    max_cached_traces:
-        Training traces kept warm, least-recently-used first out.
-        Traces hold full operand masks — by far the largest cached
-        object — so a long-lived server facing many distinct
-        (model, trace-parameter) combinations stays bounded.  The layer
-        result memo keeps only small per-layer cycle/traffic records and
-        is left unbounded.
     """
 
     def __init__(
@@ -119,7 +111,6 @@ class Session:
         telemetry_dir: Optional[str] = None,
         seed: int = 0,
         environ: Optional[Dict[str, str]] = None,
-        max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
             cache_dir=cache_dir, telemetry_dir=telemetry_dir, environ=environ,
@@ -129,12 +120,12 @@ class Session:
             # without a telemetry_dir leave the global state alone.
             configure_telemetry(self.options.telemetry_dir)
         self.seed = 0 if seed is None else int(seed)
+        # Training runs call the name bound in this module, so wrapping
+        # repro.api.session.trace_workload (perfbench/traced_cli.py does)
+        # sees every one of them.
         self.engine = SimulationEngine(
-            cache_dir=self.options.cache_dir, memory_cache=True
+            cache_dir=self.options.cache_dir, train=trace_workload
         )
-        self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._max_cached_traces = max(1, int(max_cached_traces))
-        self._runners: Dict[Tuple[str, int], ExperimentRunner] = {}
         self._lock = threading.RLock()
         #: Cache label for the in-flight request's engine-stats delta
         #: (handlers attaching a request-scoped disk cache update it).
@@ -151,61 +142,16 @@ class Session:
         }
 
     # ------------------------------------------------------------------
-    # caches
+    # helpers
 
-    def _trace(
-        self, model: str, epochs: int, batches_per_epoch: int,
-        batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
-    ):
-        """Train-and-trace one workload, memoised with LRU eviction.
-
-        On a memo miss with a disk cache attached, the trace is loaded
-        from the cache dir if any process stored it, and otherwise
-        trained and stored there.  The engine's stats count every trace
-        trained or loaded (``traces_trained`` / ``traces_loaded``).
-        """
-        key = (model, epochs, batches_per_epoch, batch_size, seed,
-               trace_max_batch)
-        if key in self._traces:
-            self._traces.move_to_end(key)
-        else:
-            params = dict(
-                epochs=epochs, batches_per_epoch=batches_per_epoch,
-                batch_size=batch_size, seed=seed,
-                trace_max_batch=trace_max_batch,
-                learning_rate=DEFAULT_LEARNING_RATE,
-            )
-            store = self.engine.cache
-            stored_key = trace = None
-            if store is not None:
-                stored_key = trace_key(model, **params)
-                trace = store.load_trace(stored_key)
-                _metrics.TRACE_STORE.inc(result="miss" if trace is None else "hit")
-            if trace is None:
-                with get_tracer().span(
-                    "session.trace", model=model, epochs=epochs,
-                    batches_per_epoch=batches_per_epoch, batch_size=batch_size,
-                ):
-                    trace = trace_workload(model, **params)
-                self.engine.stats.traces_trained += 1
-                if store is not None:
-                    store.store_trace(stored_key, trace)
-            else:
-                self.engine.stats.traces_loaded += 1
-            self._traces[key] = trace
-            while len(self._traces) > self._max_cached_traces:
-                self._traces.popitem(last=False)
-        _metrics.CACHED_TRACES.set(len(self._traces))
-        return self._traces[key]
-
-    def _runner(self, config: AcceleratorConfig, max_groups: int) -> ExperimentRunner:
-        """A per-configuration runner sharing the session engine."""
-        key = (repr(config), max_groups)
-        if key not in self._runners:
-            self._runners[key] = ExperimentRunner(
-                config, max_groups=max_groups, engine=self.engine
-            )
-        return self._runners[key]
+    def _trace_for(self, request, trace_max_batch: Optional[int] = None):
+        """The training trace one simulate/roofline/scale request needs."""
+        return self.engine.trace(
+            request.model, epochs=request.epochs,
+            batches_per_epoch=request.batches_per_epoch,
+            batch_size=request.batch_size, seed=self._seed_for(request),
+            trace_max_batch=trace_max_batch,
+        )
 
     def _seed_for(self, request) -> int:
         return self.seed if request.seed is None else request.seed
@@ -323,8 +269,7 @@ class Session:
             "requests_served": self.requests_served,
             "options": self.options.as_dict(),
             "default_seed": self.seed,
-            "cached_traces": len(self._traces),
-            "cached_runners": len(self._runners),
+            "cached_traces": len(self.engine.traces),
             "engine": self.engine.stats.as_dict(),
             "telemetry": get_tracer().describe(),
         }
@@ -345,11 +290,10 @@ class Session:
         config = AcceleratorConfig().with_pe(datatype=request.datatype)
         emit(f"Accelerator: {config.describe()}")
         emit(f"Training {request.model} for {request.epochs} epoch(s)...")
-        trace = self._trace(
-            request.model, request.epochs, request.batches_per_epoch,
-            request.batch_size, self._seed_for(request),
+        trace = self._trace_for(request)
+        runner = ExperimentRunner(
+            config, max_groups=request.max_groups, engine=self.engine
         )
-        runner = self._runner(config, request.max_groups)
         model_result = runner.run_final_epoch(trace)
         potentials = ExperimentRunner.potential_speedups_from_trace(trace.final_epoch())
         report = runner.energy_report(model_result)
@@ -380,11 +324,10 @@ class Session:
         )
         emit(f"Accelerator: {config.describe()}")
         emit(f"Training {request.model} for {request.epochs} epoch(s)...")
-        trace = self._trace(
-            request.model, request.epochs, request.batches_per_epoch,
-            request.batch_size, self._seed_for(request),
+        trace = self._trace_for(request)
+        runner = ExperimentRunner(
+            config, max_groups=request.max_groups, engine=self.engine
         )
-        runner = self._runner(config, request.max_groups)
         model_result = runner.run_final_epoch(trace)
         report = roofline_report(model_result, config)
         bound_counts = model_result.bound_counts()
@@ -425,11 +368,7 @@ class Session:
         emit(f"Scaling: {request.num_devices} device(s), "
              f"{request.partition} partition, {interconnect.describe()}")
         emit(f"Training {request.model} for {request.epochs} epoch(s)...")
-        trace = self._trace(
-            request.model, request.epochs, request.batches_per_epoch,
-            request.batch_size, self._seed_for(request),
-            trace_max_batch=request.trace_max_batch,
-        )
+        trace = self._trace_for(request, trace_max_batch=request.trace_max_batch)
         runner = ScaleRunner(
             config=config, engine=self.engine, max_groups=request.max_groups
         )
@@ -455,26 +394,12 @@ class Session:
             report=report.as_dict(),
         )
 
-    def _study_runner(self, spec, study_dir=None):
-        """A study runner wired onto the session engine and trace cache."""
-        from repro.explore.runner import StudyRunner
-
-        def trace_fn(workload: str):
-            return self._trace(
-                workload, spec.epochs, spec.batches_per_epoch,
-                spec.batch_size, spec.seed,
-                trace_max_batch=spec.trace_max_batch,
-            )
-
-        return StudyRunner(
-            spec, study_dir=study_dir, engine=self.engine, trace_fn=trace_fn
-        )
-
     def _run_sweep(
         self, request: SweepRequest, progress: Progress,
         on_event: EventHook = None,
     ) -> SweepResult:
         from repro.explore.report import study_to_dict
+        from repro.explore.runner import StudyRunner
         from repro.explore.spec import SCALE_KNOBS, StudySpec
 
         emit = progress or (lambda message: None)
@@ -496,7 +421,7 @@ class Session:
             objectives=objectives,
         )
         emit(f"Training {request.model} once; sweeping {request.knob} over {values}...")
-        study = self._study_runner(spec).run(on_event=on_event)
+        study = StudyRunner(spec, engine=self.engine).run(on_event=on_event)
         return SweepResult(
             model=request.model,
             knob=request.knob,
@@ -509,9 +434,10 @@ class Session:
         on_event: EventHook = None,
     ) -> ExploreResult:
         from repro.explore.report import study_to_dict
+        from repro.explore.runner import StudyRunner
 
         spec = request.resolved_spec()
-        runner = self._study_runner(spec, study_dir=request.study_dir)
+        runner = StudyRunner(spec, study_dir=request.study_dir, engine=self.engine)
         # Studies with a study_dir persist layer results on disk (the
         # PR 2 contract: a killed study resumes in a *new process* with
         # layer-level cache hits).  The shared engine normally has no

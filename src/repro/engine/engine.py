@@ -1,15 +1,18 @@
-"""The simulation engine: result caching and counters in front of the kernel.
+"""The simulation engine: the caches and counters in front of training
+and the kernel.
 
 :class:`SimulationEngine` is what the execution stack (experiment runner,
-CLI, API session, benchmark harness) drives instead of a bare
-:class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns two things:
+study runner, CLI, API session, benchmark harness) drives instead of a
+bare :class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns every
+cache and the record of what they did:
 
-* an optional cache stack of layer **compute parts** (the kernel's
-  cycle and MAC counts, :data:`~repro.simulation.cycle_sim.LayerCompute`)
-  that skips layers whose compute part is known — a content-addressed
-  :class:`~repro.engine.cache.ResultCache` on disk, an in-process memo
-  (``memory_cache=True``, used by :class:`repro.api.Session` so repeated
-  requests in one session never re-simulate), or both layered;
+* a cache stack of layer **compute parts** (the kernel's cycle and MAC
+  counts, :data:`~repro.simulation.cycle_sim.LayerCompute`) that skips
+  layers whose compute part is known — an in-process memo, always on,
+  above an optional content-addressed
+  :class:`~repro.engine.cache.ResultCache` on disk;
+* the training traces (:meth:`SimulationEngine.trace`): a small LRU in
+  memory, then the cache dir's trace store, then training;
 * an :class:`EngineStats` record of what happened, which reports surface.
 
 Cache misses go to :meth:`LayerSimulator.compute_layers`, which fuses
@@ -35,16 +38,19 @@ order whether they were cache hits or freshly simulated.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import repro.models.registry as registry
 from repro.core.config import AcceleratorConfig
 from repro.engine.cache import (
     ResultCache,
     compute_fingerprint,
     layer_key,
     trace_fingerprint,
+    trace_key,
 )
 from repro.simulation.cycle_sim import (
     LayerCompute,
@@ -54,6 +60,14 @@ from repro.simulation.cycle_sim import (
 )
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import get_tracer
+from repro.training.tracing import TrainingTrace
+
+#: Training traces an engine keeps in memory, least recently used first
+#: out.  Traces hold full operand masks — by far the largest cached
+#: object — so a long-lived server facing many distinct (model,
+#: trace-parameter) combinations stays bounded.  The compute-part memo
+#: holds small per-layer records and is left unbounded.
+MAX_CACHED_TRACES = 16
 
 
 @dataclass
@@ -63,7 +77,7 @@ class EngineStats:
     ``cache_hits`` is the aggregate across the whole cache stack;
     ``memo_hits`` / ``disk_hits`` attribute every hit to the tier that
     served it (in-process memo, on-disk cache).  ``traces_trained`` /
-    ``traces_loaded`` count the training traces a session trained or
+    ``traces_loaded`` count the training traces the engine trained or
     loaded from the cache dir's trace store.
     """
 
@@ -83,7 +97,7 @@ class EngineStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of cache lookups that hit (0.0 with caching disabled)."""
+        """Fraction of cache lookups that hit (0.0 before any lookup)."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
@@ -153,24 +167,27 @@ class SimulationEngine:
         Default accelerator configuration (Table 2 defaults when
         omitted).  Individual ``simulate_layers`` calls may override it.
     cache_dir:
-        Directory for the on-disk result cache; ``None`` disables the
-        disk layer.  Entries are compute parts keyed by (compute
-        fingerprint, trace fingerprint), so any change to what stream
-        extraction or the kernel reads — tile rows, lanes, staging
-        depth, refill limit, power gating, the sampling cap — or to the
-        traced operands invalidates them structurally, while every other
-        configuration field is applied afresh on each hit.
-        Several processes may point at one directory: whatever one of
-        them stores, the others load instead of re-simulating.
+        Directory for the on-disk cache of compute parts and training
+        traces; ``None`` disables the disk layer.  Compute parts are
+        keyed by (compute fingerprint, trace fingerprint), so any change
+        to what stream extraction or the kernel reads — tile rows,
+        lanes, staging depth, refill limit, power gating, the sampling
+        cap — or to the traced operands invalidates them structurally,
+        while every other configuration field is applied afresh on each
+        hit.  Several processes may point at one directory: whatever one
+        of them stores, the others load instead of re-simulating or
+        retraining.
     max_groups:
         Default stream-sampling cap, forwarded to the layer simulator
         (and folded into the cache key).  Overridable per call.
-    memory_cache:
-        Keep every compute part in an in-process memo keyed identically
-        to the disk cache.  This is what makes a warm :class:`repro.api.Session`
-        serve repeated requests without re-simulating — even with no
-        ``cache_dir`` configured.  Memo hits count as cache hits in
-        :attr:`stats`.
+    train:
+        The train-and-trace function :meth:`trace` calls on a miss;
+        ``None`` means :func:`repro.models.registry.trace_workload`.
+
+    Every compute part is also kept in an in-process memo keyed
+    identically to the disk cache, so repeated requests on one engine
+    never re-simulate, even with no ``cache_dir``.  Memo hits count as
+    cache hits in :attr:`stats`.
     """
 
     def __init__(
@@ -178,12 +195,15 @@ class SimulationEngine:
         config: Optional[AcceleratorConfig] = None,
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 256,
-        memory_cache: bool = False,
+        train: Optional[Callable[..., TrainingTrace]] = None,
     ):
         self.config = config or AcceleratorConfig()
         self.max_groups = max_groups
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self._memo: Optional[Dict[str, LayerCompute]] = {} if memory_cache else None
+        self.train = registry.trace_workload if train is None else train
+        self._memo: Dict[str, LayerCompute] = {}
+        #: Training traces kept warm, keyed by their training parameters.
+        self.traces: "OrderedDict[Tuple, TrainingTrace]" = OrderedDict()
         self._simulators: Dict[
             Tuple[AcceleratorConfig, Optional[int]], Tuple[LayerSimulator, str]
         ] = {}
@@ -225,7 +245,8 @@ class SimulationEngine:
         ``<study_dir>/cache`` — so interrupted studies still resume with
         layer-level disk hits in a fresh process.  The engine's own
         configuration wins when set; results stored while attached also
-        land in the memo, so nothing is lost on detach.
+        land in the memo, and traces trained while attached are stored in
+        the attached dir, so nothing is lost on detach.
         """
         if cache_dir is None or self.cache is not None:
             yield self
@@ -247,27 +268,68 @@ class SimulationEngine:
         :attr:`stats`; the aggregate ``cache_hits`` is maintained by the
         caller.
         """
-        if self._memo is not None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.stats.memo_hits += 1
-                return hit
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit
         if self.cache is not None:
-            loaded = self.cache.load(key)
-            if loaded is not None:
+            hit = self.cache.load(key)
+            if hit is not None:
                 self.stats.disk_hits += 1
-                if self._memo is not None:
-                    # Promote disk hits so repeated requests in one session
-                    # stop re-reading and re-parsing the cache files.
-                    self._memo[key] = loaded
-            return loaded
-        return None
+                self._memo[key] = hit
+        return hit
 
     def _store(self, key: str, compute: LayerCompute) -> None:
-        if self._memo is not None:
-            self._memo[key] = compute
+        self._memo[key] = compute
         if self.cache is not None:
             self.cache.store(key, compute)
+
+    # ------------------------------------------------------------------
+    def trace(
+        self, model: str, *, epochs: int, batches_per_epoch: int,
+        batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
+    ) -> TrainingTrace:
+        """Train-and-trace one workload, once per engine and cache dir.
+
+        The in-memory LRU (:data:`MAX_CACHED_TRACES`) is keyed by the
+        training parameters.  On a miss with a disk cache attached, the
+        trace is loaded from the cache dir if any process stored it, and
+        otherwise trained (with :attr:`train`) and stored there.
+        :attr:`stats` counts every trace trained or loaded.
+        """
+        key = (model, epochs, batches_per_epoch, batch_size, seed,
+               trace_max_batch)
+        if key in self.traces:
+            self.traces.move_to_end(key)
+        else:
+            params = dict(
+                epochs=epochs, batches_per_epoch=batches_per_epoch,
+                batch_size=batch_size, seed=seed,
+                trace_max_batch=trace_max_batch,
+                learning_rate=registry.DEFAULT_LEARNING_RATE,
+            )
+            store = self.cache
+            stored_key = trace = None
+            if store is not None:
+                stored_key = trace_key(model, **params)
+                trace = store.load_trace(stored_key)
+                _metrics.TRACE_STORE.inc(result="miss" if trace is None else "hit")
+            if trace is None:
+                with get_tracer().span(
+                    "session.trace", model=model, epochs=epochs,
+                    batches_per_epoch=batches_per_epoch, batch_size=batch_size,
+                ):
+                    trace = self.train(model, **params)
+                self.stats.traces_trained += 1
+                if store is not None:
+                    store.store_trace(stored_key, trace)
+            else:
+                self.stats.traces_loaded += 1
+            self.traces[key] = trace
+            while len(self.traces) > MAX_CACHED_TRACES:
+                self.traces.popitem(last=False)
+        _metrics.CACHED_TRACES.set(len(self.traces))
+        return self.traces[key]
 
     # ------------------------------------------------------------------
     def simulate_layers(
@@ -293,41 +355,36 @@ class SimulationEngine:
         simulator, compute_fp = self._resolve(config, max_groups)
         tracer = get_tracer()
         computes: List[Optional[LayerCompute]] = [None] * len(work)
-        misses = list(range(len(work)))
-        keys: List[str] = []
-        if self.cache is not None or self._memo is not None:
-            keys = [layer_key(compute_fp, trace_fingerprint(trace)) for trace in work]
-            misses = []
-            tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
-            with tracer.span("engine.cache_lookup", layers=len(work)) as span:
-                for index, key in enumerate(keys):
-                    cached = self._lookup(key)
-                    if cached is None:
-                        misses.append(index)
-                    else:
-                        computes[index] = cached
-                span.set(hits=len(work) - len(misses), misses=len(misses))
-            self.stats.cache_hits += len(work) - len(misses)
-            self.stats.cache_misses += len(misses)
-            # Feed the process-wide registry the same per-call deltas the
-            # stats counters record — one increment per tier per batch, so
-            # the hot per-layer lookup loop stays untouched.
-            for tier, before, now in zip(
-                ("memo", "disk"), tiers_before,
-                (self.stats.memo_hits, self.stats.disk_hits),
-            ):
-                if now > before:
-                    _metrics.CACHE_HITS.inc(now - before, tier=tier)
-            if misses:
-                _metrics.CACHE_MISSES.inc(len(misses))
+        keys = [layer_key(compute_fp, trace_fingerprint(trace)) for trace in work]
+        misses = []
+        tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
+        with tracer.span("engine.cache_lookup", layers=len(work)) as span:
+            for index, key in enumerate(keys):
+                cached = self._lookup(key)
+                if cached is None:
+                    misses.append(index)
+                else:
+                    computes[index] = cached
+            span.set(hits=len(work) - len(misses), misses=len(misses))
+        self.stats.cache_hits += len(work) - len(misses)
+        self.stats.cache_misses += len(misses)
+        # Feed the process-wide registry the same per-call deltas the
+        # stats counters record — one increment per tier per batch, so
+        # the hot per-layer lookup loop stays untouched.
+        for tier, before, now in zip(
+            ("memo", "disk"), tiers_before,
+            (self.stats.memo_hits, self.stats.disk_hits),
+        ):
+            if now > before:
+                _metrics.CACHE_HITS.inc(now - before, tier=tier)
         if misses:
+            _metrics.CACHE_MISSES.inc(len(misses))
             with tracer.span("engine.simulate_layers", layers=len(misses)):
                 fresh = simulator.compute_layers([work[i] for i in misses])
             self.stats.layers_simulated += len(fresh)
             _metrics.LAYERS_SIMULATED.inc(len(fresh))
             for index, compute in zip(misses, fresh):
-                if keys:
-                    self._store(keys[index], compute)
+                self._store(keys[index], compute)
                 computes[index] = compute
         return [
             simulator.finalize_layer(trace, compute)

@@ -1,13 +1,14 @@
 """Study execution: expand a spec, simulate every point, checkpoint, resume.
 
 :class:`StudyRunner` is the engine-room of the exploration subsystem.  It
-trains/traces each workload once, imposes the spec's sparsity scenarios,
-and dispatches every design point through the same
-:class:`~repro.engine.SimulationEngine` substrate the rest of the repo
-uses — including the content-addressed result cache, so warm points cost
-zero re-simulation.  Points sharing an accelerator configuration are
-batched into one engine pass (:meth:`ExperimentRunner.run_batch`), which
-lets the scheduling kernel fuse every workload's work groups.
+gets each workload's training trace from its
+:class:`~repro.engine.SimulationEngine` (trained once, or loaded from the
+cache dir's trace store), imposes the spec's sparsity scenarios, and
+dispatches every design point through that same engine — including the
+content-addressed result cache, so warm points cost zero re-simulation.
+Points sharing an accelerator configuration are batched into one engine
+pass (:meth:`ExperimentRunner.run_batch`), which lets the scheduling
+kernel fuse every workload's work groups.
 
 Studies are resumable: with a ``study_dir`` the runner appends one
 fsync'd JSONL record per completed point to a manifest *segment*
@@ -139,17 +140,14 @@ class StudyRunner:
     cache_dir:
         Engine flag, identical to every other entry point.  With a
         ``study_dir`` and no explicit ``cache_dir`` the cache lands in
-        ``<study_dir>/cache`` so resumed studies get layer-level hits.
+        ``<study_dir>/cache`` so resumed studies get layer-level hits
+        and load their training traces instead of retraining.
     engine:
-        An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (``cache_dir`` is then ignored).  This is how
-        :class:`repro.api.Session` makes studies share its warm cache.
-        Without one the runner builds its own engine on ``cache_dir``,
-        with the in-process memo on.
-    trace_fn:
-        Optional ``workload name -> TrainingTrace`` provider overriding
-        the built-in train-and-trace step — e.g. a session-level trace
-        cache.  The provider must honour the spec's trace parameters.
+        An existing :class:`~repro.engine.SimulationEngine` to train and
+        run every point through (``cache_dir`` is then ignored).  This is
+        how :class:`repro.api.Session` makes studies share its warm
+        caches.  Without one the runner builds its own engine on
+        ``cache_dir``.
     """
 
     def __init__(
@@ -158,11 +156,9 @@ class StudyRunner:
         study_dir: Optional[Union[str, Path]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         engine: Optional[SimulationEngine] = None,
-        trace_fn: Optional[Callable[[str], object]] = None,
     ):
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
-        self._trace_fn = trace_fn
         if self.study_dir is not None:
             try:
                 self.study_dir.mkdir(parents=True, exist_ok=True)
@@ -173,14 +169,9 @@ class StudyRunner:
             if cache_dir is None:
                 cache_dir = self.study_dir / "cache"
         if engine is None:
-            engine = SimulationEngine(
-                cache_dir=cache_dir, max_groups=spec.max_groups,
-                memory_cache=True,
-            )
+            engine = SimulationEngine(cache_dir=cache_dir, max_groups=spec.max_groups)
         self.engine = engine
-        self._traces: Dict[str, object] = {}
         self._scenario_traces: Dict[tuple, EpochTrace] = {}
-        self._runners: Dict[str, ExperimentRunner] = {}
         self._segment_handle = None
 
     # ------------------------------------------------------------------
@@ -318,42 +309,20 @@ class StudyRunner:
             segment.unlink()
 
     # ------------------------------------------------------------------
-    def _trace(self, workload: str):
-        """Train and trace one workload (once per study)."""
-        if workload not in self._traces:
-            if self._trace_fn is not None:
-                self._traces[workload] = self._trace_fn(workload)
-            else:
-                from repro.models.registry import trace_workload
-
-                spec = self.spec
-                self._traces[workload] = trace_workload(
-                    workload,
-                    epochs=spec.epochs,
-                    batches_per_epoch=spec.batches_per_epoch,
-                    batch_size=spec.batch_size,
-                    seed=spec.seed,
-                    trace_max_batch=spec.trace_max_batch,
-                )
-        return self._traces[workload]
-
     def _scenario_trace(self, workload: str, scenario: str) -> EpochTrace:
         key = (workload, scenario)
         if key not in self._scenario_traces:
-            trace = self._trace(workload)
+            spec = self.spec
+            trace = self.engine.trace(
+                workload, epochs=spec.epochs,
+                batches_per_epoch=spec.batches_per_epoch,
+                batch_size=spec.batch_size, seed=spec.seed,
+                trace_max_batch=spec.trace_max_batch,
+            )
             self._scenario_traces[key] = apply_scenario(
-                trace.final_epoch(), scenario, seed=self.spec.seed
+                trace.final_epoch(), scenario, seed=spec.seed
             )
         return self._scenario_traces[key]
-
-    def _runner_for(self, point: DesignPoint) -> ExperimentRunner:
-        config = point.config()
-        key = repr(config)
-        if key not in self._runners:
-            self._runners[key] = ExperimentRunner(
-                config, max_groups=self.spec.max_groups, engine=self.engine
-            )
-        return self._runners[key]
 
     def _measure(self, point: DesignPoint, runner: ExperimentRunner, model_result) -> PointResult:
         config = point.config()
@@ -403,8 +372,7 @@ class StudyRunner:
         """Multi-device metrics for a point carrying scaling knobs.
 
         The scale pass shares the point's engine, so the single-device
-        reference simulation is served from whatever cache stack the
-        study has (and re-simulated only on fully cache-less runners).
+        reference simulation is served from the study's memo.
         Absent plan entries default to one device, the ``data``
         partition and the default interconnect; a ``link_gbps`` knob
         swaps the link bandwidth but keeps the default hop latency.
@@ -445,7 +413,9 @@ class StudyRunner:
         No checkpointing or metrics here: the caller records each result.
         """
         tracer = get_tracer()
-        runner = self._runner_for(group[0])
+        runner = ExperimentRunner(
+            group[0].config(), max_groups=self.spec.max_groups, engine=self.engine
+        )
         traced = [
             (point.workload, self._scenario_trace(point.workload, point.scenario))
             for point in group

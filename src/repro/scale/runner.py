@@ -71,9 +71,9 @@ class ScaleRunner:
         An existing :class:`~repro.engine.SimulationEngine` to dispatch
         every shard through (how :class:`repro.api.Session` and the
         study runner share their warm caches with scaling runs).  When
-        omitted, the runner builds its own engine with the in-process
-        memo enabled, so the per-shard passes never re-simulate layers
-        the reference pass already covered.
+        omitted, the runner builds its own engine, whose memo keeps the
+        per-shard passes from re-simulating layers the reference pass
+        already covered.
     cache_dir:
         Engine knob for the self-built engine; ignored when ``engine``
         is given.
@@ -92,10 +92,7 @@ class ScaleRunner:
         self.config = config or AcceleratorConfig()
         if engine is None:
             engine = SimulationEngine(
-                self.config,
-                cache_dir=cache_dir,
-                max_groups=max_groups,
-                memory_cache=True,
+                self.config, cache_dir=cache_dir, max_groups=max_groups
             )
         self.engine = engine
         self.max_groups = max_groups

@@ -6,9 +6,10 @@ layer on the baseline and TensorDash accelerators, and aggregates cycles,
 speedups, memory traffic and energy per model and per operation — the
 quantities Figs. 13-20 and Table 3 report.
 
-Layer execution goes through a :class:`repro.engine.SimulationEngine`, so
-every runner accepts a ``cache_dir`` enabling the content-addressed
-on-disk result cache.  With a cache directory set, re-running a sweep
+Layer execution goes through a :class:`repro.engine.SimulationEngine`,
+whose memo serves any layer the runner already simulated, and every
+runner accepts a ``cache_dir`` enabling the content-addressed on-disk
+result cache.  With a cache directory set, re-running a sweep
 re-schedules only layers whose (compute key, trace) pair has never been
 seen; everything else is loaded from disk and finalized under the
 runner's configuration, and ``runner.engine.stats`` records the hit/miss

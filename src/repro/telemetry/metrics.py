@@ -372,12 +372,12 @@ HTTP_REQUESTS = _DEFAULT_REGISTRY.counter(
     "HTTP responses sent by the batch service, by method and status.",
     labels=("method", "status"),
 )
-#: Training traces held warm by the session LRU.
+#: Training traces held warm by the engine's trace LRU.
 CACHED_TRACES = _DEFAULT_REGISTRY.gauge(
     "repro_session_cached_traces",
-    "Training traces currently cached by the session.",
+    "Training traces currently cached in memory by the engine.",
 )
-#: Trace-store lookups of sessions with a cache dir, by outcome.
+#: Trace-store lookups of engines with a cache dir, by outcome.
 TRACE_STORE = _DEFAULT_REGISTRY.counter(
     "repro_trace_store_total",
     "Training-trace lookups in the cache dir, by result (hit, miss).",

@@ -4,10 +4,12 @@ import pytest
 
 from repro.analysis import (
     ReportTable,
+    format_engine_stats,
     format_series,
     format_table,
     geometric_mean,
 )
+from repro.engine import EngineStats
 
 
 class TestMetrics:
@@ -49,3 +51,11 @@ class TestReporting:
         assert "Fig13" in text
         assert "AxG" in text
         assert "nan" in text    # missing cell rendered as NaN
+
+    def test_engine_stats_line_shows_memo_hits_without_a_cache_dir(self):
+        stats = EngineStats(layers_simulated=48, cache_hits=48,
+                            cache_misses=48, memo_hits=48)
+        assert format_engine_stats(stats) == (
+            "engine: layers simulated=48  "
+            "cache hits=48 misses=48 (hit rate 50.0%)"
+        )

@@ -3,10 +3,12 @@
 import pytest
 
 import repro.api.session as session_module
+import repro.engine.engine as engine_module
 from repro.api.schema import SchemaError, SimulateRequest, SweepRequest
 from repro.api.session import Session
 from repro.core.config import AcceleratorConfig
 from repro.engine.options import resolve_engine_options
+from repro.simulation.runner import ExperimentRunner
 from tests.test_engine_backends import assert_results_identical
 
 FAST = dict(epochs=1, batches_per_epoch=1, batch_size=4, max_groups=8)
@@ -135,11 +137,13 @@ class TestSessionCaching:
         assert again.engine["layers_simulated"] == 0
         assert again.engine["cache_hits"] == first.engine["cache_hits"]
 
-    def test_trace_cache_is_lru_bounded(self):
-        session = Session(max_cached_traces=1)
+    def test_trace_cache_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_CACHED_TRACES", 1)
+        session = Session()
         session.simulate("snli", **FAST)
         session.simulate("snli", seed=1, **FAST)
-        assert len(session._traces) == 1   # the seed-0 trace was evicted
+        # The seed-0 trace was evicted.
+        assert list(session.engine.traces) == [("snli", 1, 1, 4, 1, None)]
 
     def test_different_configs_do_not_collide(self):
         """A datatype twin reuses the fp32 compute parts (the kernel never
@@ -157,9 +161,12 @@ class TestSessionCaching:
         assert fresh_session.simulate("snli", datatype="bfloat16", **FAST).result == bf16.result
 
         def layer_results(owner, datatype):
-            trace = owner._trace("snli", 1, 1, 4, 0)
+            trace = owner.engine.trace(
+                "snli", epochs=1, batches_per_epoch=1, batch_size=4, seed=0
+            )
             config = AcceleratorConfig().with_pe(datatype=datatype)
-            return owner._runner(config, 8).run_final_epoch(trace).layer_results
+            runner = ExperimentRunner(config, max_groups=8, engine=owner.engine)
+            return runner.run_final_epoch(trace).layer_results
 
         fp32_layers = layer_results(session, "fp32")
         bf16_layers = layer_results(session, "bfloat16")
@@ -196,12 +203,19 @@ class TestSessionCaching:
         session.explore(spec, study_dir=str(study_dir))
         assert session.engine.cache is None
 
-    def test_one_engine_is_shared(self):
+    def test_one_engine_is_shared(self, monkeypatch):
+        runners = []
+        build = ExperimentRunner.__init__
+
+        def recording(runner, *args, **kwargs):
+            build(runner, *args, **kwargs)
+            runners.append(runner)
+
+        monkeypatch.setattr(ExperimentRunner, "__init__", recording)
         session = Session()
         session.simulate("snli", **FAST)
         session.sweep("snli", knob="staging", values=[2, 3], epochs=1,
                       batches_per_epoch=1, batch_size=4, max_groups=8)
-        runners = list(session._runners.values())
         assert runners, "session built no runners"
         assert all(runner.engine is session.engine for runner in runners)
 

@@ -60,8 +60,7 @@ class TestSharedTier:
 
         SimulationEngine(cache_dir=str(shared),
                          max_groups=8).simulate_layers(traces)
-        engine = SimulationEngine(cache_dir=str(shared),
-                                  memory_cache=True, max_groups=8)
+        engine = SimulationEngine(cache_dir=str(shared), max_groups=8)
         fresh = engine.simulate_layers(traces)
         assert engine.stats.disk_hits == 1
         assert engine.stats.layers_simulated == 0
@@ -77,9 +76,7 @@ class TestSharedTier:
     def test_memo_sits_above_shared_tier(self, tmp_path):
         rng = np.random.default_rng(4)
         traces = [make_conv_trace(rng, name="m")]
-        engine = SimulationEngine(memory_cache=True,
-                                  cache_dir=str(tmp_path / "s"),
-                                  max_groups=8)
+        engine = SimulationEngine(cache_dir=str(tmp_path / "s"), max_groups=8)
         engine.simulate_layers(traces)
         engine.simulate_layers(traces)
         assert engine.stats.memo_hits == 1

@@ -79,8 +79,10 @@ class TestRoundTrips:
     def test_snapshot_since_round_trip_through_real_engine(self, tmp_path):
         rng = np.random.default_rng(11)
         layers = [make_conv_trace(rng, name=f"conv{i}") for i in range(3)]
+        SimulationEngine(cache_dir=tmp_path / "cache", max_groups=8).simulate_layers(layers)
+        # A fresh engine on the same dir: its memo is empty, so the
+        # second pass is served from disk.
         engine = SimulationEngine(cache_dir=tmp_path / "cache", max_groups=8)
-        engine.simulate_layers(layers)
         before = engine.stats.snapshot()
         engine.simulate_layers(layers)          # all disk hits
         delta = engine.stats.since(before)

@@ -147,7 +147,7 @@ def test_unchanged_key_means_identical_compute(base_name, path):
     shared_key = compute_fingerprint(before) == compute_fingerprint(after)
     if shared_key:
         assert before.compute_layers(TRACES) == after.compute_layers(TRACES)
-    engine = SimulationEngine(memory_cache=True)
+    engine = SimulationEngine()
     for config, max_groups in pairs:
         served = engine.simulate_layers(TRACES, config=config, max_groups=max_groups)
         fresh = SimulationEngine(config, max_groups=max_groups).simulate_layers(TRACES)

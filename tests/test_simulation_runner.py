@@ -115,6 +115,16 @@ class TestRunBatch:
     def test_empty_batch(self):
         assert ExperimentRunner(max_groups=8).run_batch([]) == []
 
+    def test_repeated_epoch_is_served_by_the_memo(self, alexnet_trace):
+        runner = ExperimentRunner(max_groups=8)   # no cache dir
+        first = runner.run_final_epoch(alexnet_trace)
+        simulated = runner.engine_stats.layers_simulated
+        again = runner.run_final_epoch(alexnet_trace)
+        assert simulated > 0
+        assert runner.engine_stats.layers_simulated == simulated
+        assert runner.engine_stats.memo_hits == simulated
+        assert again.cycles() == first.cycles()
+
 
 class TestSimulateModelTraining:
     def test_end_to_end_convenience(self):

@@ -192,12 +192,18 @@ class TestEngineFeed:
         simulated_before = LAYERS_SIMULATED.value()
         misses_before = CACHE_MISSES.value()
         disk_before = CACHE_HITS.value(tier="disk")
+        memo_before = CACHE_HITS.value(tier="memo")
 
         engine.simulate_layers(layers)
         assert LAYERS_SIMULATED.value() == simulated_before + 2
         assert CACHE_MISSES.value() == misses_before + 2
 
-        # Second pass: memo is off, the disk tier serves both layers.
-        engine.simulate_layers(layers)
+        # Second pass, through a fresh engine on the same dir: its memo
+        # is empty, so the disk tier serves both layers...
+        fresh = SimulationEngine(cache_dir=tmp_path / "cache", max_groups=8)
+        fresh.simulate_layers(layers)
         assert CACHE_HITS.value(tier="disk") == disk_before + 2
+        # ...and promotes them, so a third pass is served by the memo.
+        fresh.simulate_layers(layers)
+        assert CACHE_HITS.value(tier="memo") == memo_before + 2
         assert LAYERS_SIMULATED.value() == simulated_before + 2

@@ -8,8 +8,10 @@ import pytest
 
 import repro.api.session as session_module
 import repro.engine.cache as cache_module
+import repro.models.registry as registry
 from repro.api.session import Session
 from repro.engine.cache import ResultCache, trace_fingerprint, trace_key
+from repro.explore import StudyRunner, StudySpec, run_study
 from repro.models.registry import (
     DEFAULT_LEARNING_RATE,
     available_models,
@@ -188,6 +190,42 @@ def test_explore_keeps_traces_in_the_study_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(session_module, "trace_workload", untrainable)
     again = Session().explore(spec, study_dir=str(study_dir))
     assert again.result.study["points"] == first.result.study["points"]
+
+
+STUDY = {
+    "name": "traces", "workloads": ["snli"], "knobs": {"staging": [2, 3]},
+    "epochs": 1, "batches_per_epoch": 1, "batch_size": 4, "max_groups": 8,
+}
+
+
+def _untrainable(model, **kwargs):
+    raise AssertionError("the stored trace should have been loaded")
+
+
+def test_direct_study_runner_loads_the_stored_trace(tmp_path, monkeypatch):
+    spec = StudySpec.from_dict(STUDY)
+    study_dir = tmp_path / "study"
+    first = StudyRunner(spec, study_dir=study_dir).run()
+    assert (first.stats.traces_trained, first.stats.traces_loaded) == (1, 0)
+    trace_file(study_dir / "cache")
+    (study_dir / "manifest.json").unlink()
+
+    monkeypatch.setattr(registry, "trace_workload", _untrainable)
+    again = StudyRunner(spec, study_dir=study_dir).run()
+    assert (again.stats.traces_trained, again.stats.traces_loaded) == (0, 1)
+    assert again.stats.layers_simulated == 0
+    assert [p.metrics for p in again.points] == [p.metrics for p in first.points]
+
+
+def test_run_study_rerun_loads_the_stored_trace(tmp_path, monkeypatch):
+    spec = StudySpec.from_dict(STUDY)
+    study_dir = tmp_path / "study"
+    first = run_study(spec, study_dir=study_dir)
+    assert first.stats.traces_trained == 1
+
+    monkeypatch.setattr(registry, "trace_workload", _untrainable)
+    again = run_study(spec, study_dir=study_dir)
+    assert (again.stats.traces_trained, again.stats.traces_loaded) == (0, 1)
 
 
 def test_len_counts_layer_results_only(tmp_path):
