@@ -11,7 +11,6 @@ import numpy as np
 
 from benchmarks.common import print_header
 from repro.analysis.reporting import format_table
-from repro.core.config import PEConfig
 from repro.core.pe import BaselinePE, TensorDashPE
 
 SPARSITY_PAIRS = ((0.3, 0.3), (0.5, 0.5), (0.7, 0.3), (0.3, 0.7), (0.7, 0.7))
@@ -29,8 +28,8 @@ def _streams(a_sparsity, b_sparsity, seed):
 
 
 def compute_two_side_ablation():
-    one_side = TensorDashPE(PEConfig(two_side=False))
-    two_side = TensorDashPE(PEConfig(two_side=True))
+    one_side = TensorDashPE()
+    two_side = TensorDashPE(two_side=True)
     baseline = BaselinePE()
     rows = []
     for a_sparsity, b_sparsity in SPARSITY_PAIRS:

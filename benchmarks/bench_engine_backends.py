@@ -151,7 +151,7 @@ def main() -> int:
     timings, results = _timed_passes(layers, MAX_GROUPS)
 
     # Per-layer attribution (kernel, one layer at a time).
-    simulator = SimulationEngine(max_groups=MAX_GROUPS).simulator
+    simulator = SimulationEngine(max_groups=MAX_GROUPS).simulator_for()
     per_layer = []
     for layer in traced_layers(layers):
         start = time.perf_counter()

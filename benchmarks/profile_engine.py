@@ -88,7 +88,7 @@ def main() -> int:
     # Per-layer attribution: time each layer alone through the same
     # kernel (slightly slower than the fused whole-trace pass because
     # cross-layer batching cannot help a single layer).
-    simulator = engine.simulator
+    simulator = engine.simulator_for()
     per_layer = []
     for layer in traced_layers(layers):
         start = time.perf_counter()

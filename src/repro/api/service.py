@@ -500,7 +500,6 @@ class ApiServer(ThreadingHTTPServer):
         self,
         address,
         session: Session,
-        quiet: bool = False,
         study_root: Optional[Union[str, Path]] = None,
         access_log: Optional[Union[str, Path]] = None,
         job_workers: int = 2,
@@ -510,7 +509,6 @@ class ApiServer(ThreadingHTTPServer):
     ):
         super().__init__(address, ApiRequestHandler)
         self.session = session
-        self.quiet = quiet
         #: Directory client-supplied explore ``study_dir`` paths must
         #: resolve under; ``None`` refuses them entirely.
         self.study_root = Path(study_root).resolve() if study_root else None
@@ -587,7 +585,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 8000,
     session: Optional[Session] = None,
-    quiet: bool = False,
     study_root: Optional[Union[str, Path]] = None,
     access_log: Optional[Union[str, Path]] = None,
     job_workers: int = 2,
@@ -601,7 +598,7 @@ def create_server(
     ``server.server_address``; tests use this to avoid collisions.
     """
     return ApiServer(
-        (host, port), session or Session(), quiet=quiet,
+        (host, port), session or Session(),
         study_root=study_root, access_log=access_log,
         job_workers=job_workers, job_retention=job_retention,
         audit_log=audit_log, max_body_mb=max_body_mb,
@@ -612,7 +609,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8000,
     session: Optional[Session] = None,
-    quiet: bool = False,
     study_root: Optional[Union[str, Path]] = None,
     access_log: Optional[Union[str, Path]] = None,
     job_workers: int = 2,
@@ -628,7 +624,7 @@ def serve(
     flush the access/audit logs before returning.
     """
     server = create_server(
-        host=host, port=port, session=session, quiet=quiet,
+        host=host, port=port, session=session,
         study_root=study_root, access_log=access_log,
         job_workers=job_workers, job_retention=job_retention,
         audit_log=audit_log, max_body_mb=max_body_mb,

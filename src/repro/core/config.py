@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
 
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -35,9 +34,6 @@ class PEConfig:
     lanes: int = 16
     staging_depth: int = 3
     datatype: str = "fp32"
-    #: Extract sparsity from both operand sides (per-PE scheduling) or only
-    #: from the B side (the tile configuration the paper evaluates).
-    two_side: bool = False
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
@@ -89,21 +85,21 @@ class TileConfig:
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """On-chip and off-chip memory configuration (Table 2)."""
+    """On-chip and off-chip memory configuration (Table 2).
+
+    Only the values a result depends on are fields.  Table 2's other
+    memory parameters (1 KB per scratchpad bank, 15 transposers with
+    1 KB buffers each, 16 GB of DRAM) enter no model.
+    """
 
     #: Per-tile activation / B-operand / output SRAM: 256 KB x 4 banks each.
     am_kb_per_bank: int = 256
     bm_kb_per_bank: int = 256
     cm_kb_per_bank: int = 256
     banks_per_tile: int = 4
-    #: Per-PE scratchpads: 1 KB x 3 banks each.
-    scratchpad_kb: int = 1
+    #: Per-PE scratchpad banks (1 KB each); they bound the staging refill.
     scratchpad_banks: int = 3
-    #: Transposer internal buffer.
-    transposer_buffer_kb: int = 1
-    transposers: int = 15
-    #: Off-chip memory: 16 GB, 4-channel LPDDR4-3200.
-    dram_gb: int = 16
+    #: Off-chip memory: 4-channel LPDDR4-3200 with a 32-bit bus.
     dram_channels: int = 4
     dram_mts: int = 3200
     #: Zero-compress off-chip transfers (both designs do, per the paper's
@@ -120,25 +116,22 @@ class MemoryConfig:
 
     @property
     def peak_dram_bandwidth_gbps(self) -> float:
-        """Peak off-chip bandwidth in GB/s.
-
-        Delegates to :class:`repro.memory.dram.DRAMModel` so the
-        performance model (hierarchy, roofline CLI) and the DRAM
-        latency/energy model can never disagree on peak bandwidth.
-        """
-        from repro.memory.dram import DRAMModel
-
-        return DRAMModel(
-            channels=self.dram_channels, mts=self.dram_mts
-        ).peak_bandwidth_gbps
+        """Peak off-chip bandwidth in GB/s: channels x transfers/s x 4 bytes
+        (51.2 GB/s for Table 2's memory)."""
+        if self.dram_channels < 1:
+            raise ValueError(
+                f"dram_channels must be positive, got {self.dram_channels}"
+            )
+        return self.dram_channels * self.dram_mts * 1e6 * 4.0 / 1e9
 
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
     """Full accelerator configuration (Table 2 defaults).
 
-    16 tiles of 4x4 PEs, 16 MACs per PE: 4096 MACs per cycle at 500 MHz in
-    a 65 nm node.
+    16 tiles of 4x4 PEs, 16 MACs per PE: 4096 MACs per cycle at 500 MHz.
+    The area and power constants are calibrated for the paper's 65 nm
+    node; no model scales them with the node.
     """
 
     pe: PEConfig = field(default_factory=PEConfig)
@@ -152,7 +145,6 @@ class AcceleratorConfig:
     hierarchy: MemoryHierarchy = field(default_factory=MemoryHierarchy)
     num_tiles: int = 16
     frequency_mhz: int = 500
-    tech_node_nm: int = 65
     #: When True, the TensorDash-specific components are power-gated and the
     #: accelerator behaves exactly like the dense baseline.
     power_gated: bool = False

@@ -73,13 +73,16 @@ class TensorDashPE:
     Parameters
     ----------
     config:
-        PE geometry.  ``config.two_side`` selects whether the scheduler sees
-        zeros on both operands (per-PE scheduling, Section 3.1) or only on
-        the B operand (the tile configuration of Section 3.3).
+        PE geometry.
+    two_side:
+        Whether the scheduler sees zeros on both operands (per-PE
+        scheduling, Section 3.1) or only on the B operand (the tile
+        configuration of Section 3.3, the default).
     """
 
-    def __init__(self, config: Optional[PEConfig] = None):
+    def __init__(self, config: Optional[PEConfig] = None, two_side: bool = False):
         self.config = config or PEConfig()
+        self.two_side = two_side
         self.pattern = ConnectivityPattern(
             lanes=self.config.lanes, staging_depth=self.config.staging_depth
         )
@@ -97,7 +100,7 @@ class TensorDashPE:
         b_stream = np.asarray(b_stream, dtype=np.float64)
         _validate_streams(a_stream, b_stream, self.config.lanes)
 
-        if self.config.two_side:
+        if self.two_side:
             pending = (a_stream != 0) & (b_stream != 0)
         else:
             pending = b_stream != 0

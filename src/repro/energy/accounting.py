@@ -78,16 +78,15 @@ class EfficiencyReport:
 
 
 class EnergyAccountant:
-    """Turns simulation outputs into energy breakdowns and efficiency ratios."""
+    """Turns simulation outputs into energy breakdowns and efficiency ratios.
 
-    def __init__(
-        self,
-        config: Optional[AcceleratorConfig] = None,
-        per_access: Optional[EnergyPerAccess] = None,
-    ):
+    Memory accesses are charged at the :class:`EnergyPerAccess` defaults.
+    """
+
+    def __init__(self, config: Optional[AcceleratorConfig] = None):
         self.config = config or AcceleratorConfig()
         self.compute = ComputeEnergyModel(self.config)
-        self.per_access = per_access or EnergyPerAccess()
+        self.per_access = EnergyPerAccess()
 
     def _memory_energy(self, traffic: MemoryTraffic) -> Dict[str, float]:
         sram = (
@@ -121,21 +120,16 @@ class EnergyAccountant:
         self,
         baseline_cycles: int,
         tensordash_cycles: int,
-        baseline_traffic: MemoryTraffic,
-        tensordash_traffic: Optional[MemoryTraffic] = None,
+        traffic: MemoryTraffic,
         power_gated: bool = False,
     ) -> EfficiencyReport:
         """Core and overall efficiency of TensorDash over the baseline.
 
-        The two designs share the memory model; unless TensorDash stores
-        tensors in scheduled form its traffic equals the baseline's.
+        The two designs share the memory model and move the same bytes,
+        so ``traffic`` is charged to both.
         """
-        if tensordash_traffic is None:
-            tensordash_traffic = baseline_traffic
-        baseline = self.baseline_energy(baseline_cycles, baseline_traffic)
-        tensordash = self.tensordash_energy(
-            tensordash_cycles, tensordash_traffic, power_gated
-        )
+        baseline = self.baseline_energy(baseline_cycles, traffic)
+        tensordash = self.tensordash_energy(tensordash_cycles, traffic, power_gated)
         core_ratio = (
             baseline.core_pj / tensordash.core_pj if tensordash.core_pj else 1.0
         )

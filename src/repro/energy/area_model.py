@@ -45,9 +45,17 @@ _LINEAR_EXPONENT = 1.0        # muxes, comparators, staging storage
 _NO_SCALE_EXPONENT = 0.0      # priority encoders
 
 
-def _width_scale(datatype: str, exponent: float) -> float:
+def width_scale(datatype: str, exponent: float) -> float:
+    """Scale factor of a component whose cost grows as ``bits ** exponent``,
+    relative to FP32 (shared with :mod:`repro.energy.power_model`)."""
     bits = DATATYPE_BITS[datatype]
     return (bits / 32.0) ** exponent
+
+
+def pe_scale(config: AcceleratorConfig) -> float:
+    """Scale factor for a non-default number of PEs or lanes."""
+    default_macs = 256 * 16
+    return config.macs_per_cycle / default_macs
 
 
 @dataclass
@@ -94,13 +102,8 @@ class AreaModel:
     def __init__(self, config: AcceleratorConfig | None = None):
         self.config = config or AcceleratorConfig()
 
-    def _pe_scale(self) -> float:
-        """Scale factor for a non-default number of PEs or lanes."""
-        default_macs = 256 * 16
-        return self.config.macs_per_cycle / default_macs
-
     def _sram_scale(self) -> float:
-        datatype_scale = _width_scale(self.config.pe.datatype, _LINEAR_EXPONENT)
+        datatype_scale = width_scale(self.config.pe.datatype, _LINEAR_EXPONENT)
         tile_scale = self.config.num_tiles / 16
         return datatype_scale * tile_scale
 
@@ -109,10 +112,10 @@ class AreaModel:
         datatype = self.config.pe.datatype
         cores = (
             _FP32_COMPUTE_CORES_MM2
-            * self._pe_scale()
-            * _width_scale(datatype, _MULTIPLIER_EXPONENT)
+            * pe_scale(self.config)
+            * width_scale(datatype, _MULTIPLIER_EXPONENT)
         )
-        transposers = _FP32_TRANSPOSERS_MM2 * _width_scale(datatype, _LINEAR_EXPONENT)
+        transposers = _FP32_TRANSPOSERS_MM2 * width_scale(datatype, _LINEAR_EXPONENT)
         return AreaBreakdown(
             compute_cores=cores,
             transposers=transposers,
@@ -128,18 +131,18 @@ class AreaModel:
         datatype = self.config.pe.datatype
         schedulers = (
             _FP32_SCHEDULER_BMUX_MM2
-            * self._pe_scale()
-            * _width_scale(datatype, _NO_SCALE_EXPONENT)
+            * pe_scale(self.config)
+            * width_scale(datatype, _NO_SCALE_EXPONENT)
         )
         # Roughly half the scheduler+B-mux block is value multiplexers which
         # do scale with datatype width; fold that in at 50/50.
-        schedulers = 0.5 * schedulers + 0.5 * schedulers * _width_scale(
+        schedulers = 0.5 * schedulers + 0.5 * schedulers * width_scale(
             datatype, _LINEAR_EXPONENT
         )
         a_muxes = (
             _FP32_AMUX_MM2
-            * self._pe_scale()
-            * _width_scale(datatype, _LINEAR_EXPONENT)
+            * pe_scale(self.config)
+            * width_scale(datatype, _LINEAR_EXPONENT)
         )
         return AreaBreakdown(
             compute_cores=base.compute_cores,

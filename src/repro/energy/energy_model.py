@@ -35,10 +35,6 @@ class EnergyPerAccess:
     scratchpad_pj_per_byte: float = 0.18
     dram_pj_per_byte: float = 48.0
 
-    def scaled_for_datatype(self, value_bytes: int) -> "EnergyPerAccess":
-        """Per-byte energies do not change with datatype; provided for clarity."""
-        return self
-
 
 class ComputeEnergyModel:
     """Energy consumed by the compute logic as a function of busy cycles."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.config import AcceleratorConfig, DATATYPE_BITS
+from repro.core.config import AcceleratorConfig
+from repro.energy.area_model import pe_scale, width_scale
 
 
 _FP32_COMPUTE_CORES_MW = 13910.0
@@ -21,11 +22,6 @@ _FP32_AMUX_MW = 145.3
 _MULTIPLIER_EXPONENT = 1.6
 _LINEAR_EXPONENT = 1.0
 _NO_SCALE_EXPONENT = 0.0
-
-
-def _width_scale(datatype: str, exponent: float) -> float:
-    bits = DATATYPE_BITS[datatype]
-    return (bits / 32.0) ** exponent
 
 
 @dataclass
@@ -63,24 +59,20 @@ class PowerModel:
     def __init__(self, config: AcceleratorConfig | None = None):
         self.config = config or AcceleratorConfig()
 
-    def _pe_scale(self) -> float:
-        default_macs = 256 * 16
-        return self.config.macs_per_cycle / default_macs
-
     def _frequency_scale(self) -> float:
         return self.config.frequency_mhz / 500.0
 
     def baseline(self) -> PowerBreakdown:
         """Power of the dense baseline compute logic."""
         datatype = self.config.pe.datatype
-        scale = self._pe_scale() * self._frequency_scale()
+        scale = pe_scale(self.config) * self._frequency_scale()
         return PowerBreakdown(
             compute_cores=_FP32_COMPUTE_CORES_MW
             * scale
-            * _width_scale(datatype, _MULTIPLIER_EXPONENT),
+            * width_scale(datatype, _MULTIPLIER_EXPONENT),
             transposers=_FP32_TRANSPOSERS_MW
             * self._frequency_scale()
-            * _width_scale(datatype, _LINEAR_EXPONENT),
+            * width_scale(datatype, _LINEAR_EXPONENT),
             schedulers_and_b_muxes=0.0,
             a_muxes=0.0,
         )
@@ -89,12 +81,12 @@ class PowerModel:
         """Power of the TensorDash compute logic."""
         base = self.baseline()
         datatype = self.config.pe.datatype
-        scale = self._pe_scale() * self._frequency_scale()
+        scale = pe_scale(self.config) * self._frequency_scale()
         schedulers = _FP32_SCHEDULER_BMUX_MW * scale
-        schedulers = 0.5 * schedulers + 0.5 * schedulers * _width_scale(
+        schedulers = 0.5 * schedulers + 0.5 * schedulers * width_scale(
             datatype, _LINEAR_EXPONENT
         )
-        a_muxes = _FP32_AMUX_MW * scale * _width_scale(datatype, _LINEAR_EXPONENT)
+        a_muxes = _FP32_AMUX_MW * scale * width_scale(datatype, _LINEAR_EXPONENT)
         return PowerBreakdown(
             compute_cores=base.compute_cores,
             transposers=base.transposers,

@@ -208,9 +208,6 @@ class SimulationEngine:
             Tuple[AcceleratorConfig, Optional[int]], Tuple[LayerSimulator, str]
         ] = {}
         self.stats = EngineStats(cache_dir=str(cache_dir) if cache_dir else None)
-        # The default-config simulator, eagerly built for back-compat
-        # (callers that read ``engine.simulator`` directly).
-        self.simulator = self.simulator_for(self.config)
 
     # ------------------------------------------------------------------
     def _resolve(

@@ -19,7 +19,6 @@ it a new id.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -394,7 +393,7 @@ class StudySpec:
 
         The index space is workload-major, then scenario, then the knob
         product in row-major (first knob varies slowest) order — exactly
-        the order cartesian expansion enumerates.
+        the order of ``itertools.product`` over the knob value lists.
         """
         knob_names = list(self.knobs)
         value_lists = [self.knobs[name] for name in knob_names]
@@ -417,11 +416,13 @@ class StudySpec:
     def expand(self) -> List[DesignPoint]:
         """Concrete design points, in deterministic order.
 
-        Cartesian mode yields the full product; random mode draws
-        ``sample`` distinct point indices using ``seed`` and decodes only
-        those, so a small sample of a huge space never materialises the
-        whole product.  The draw is over point indices, so the same spec
-        always yields the same subset regardless of platform.
+        Both modes decode flat point indices with :meth:`_point_at`.
+        Cartesian mode decodes every index, which yields the full product;
+        random mode draws ``sample`` distinct point indices using ``seed``
+        and decodes only those, so a small sample of a huge space never
+        materialises the whole product.  The draw is over point indices,
+        so the same spec always yields the same subset regardless of
+        platform.
         """
         trace_params = (
             ("epochs", self.epochs),
@@ -434,22 +435,10 @@ class StudySpec:
             # Appended only when set: point ids of pre-existing specs
             # (and their resumable manifests) stay stable.
             trace_params += (("trace_max_batch", self.trace_max_batch),)
+        indices = range(self.space_size)
         if self.mode == "random" and self.sample < self.space_size:
             rng = np.random.default_rng(self.seed)
             indices = sorted(
                 rng.choice(self.space_size, size=self.sample, replace=False)
             )
-            return [self._point_at(int(i), trace_params) for i in indices]
-        knob_names = list(self.knobs)
-        value_lists = [self.knobs[name] for name in knob_names]
-        return [
-            DesignPoint(
-                workload=workload,
-                scenario=scenario,
-                knobs=tuple(zip(knob_names, combo)),
-                trace_params=trace_params,
-            )
-            for workload in self.workloads
-            for scenario in self.scenarios
-            for combo in itertools.product(*value_lists)
-        ]
+        return [self._point_at(int(i), trace_params) for i in indices]

@@ -343,13 +343,6 @@ class ManifestSnapshot:
         }
         return payload
 
-    def metric_names(self) -> List[str]:
-        """Every metric name recorded by at least one point, sorted."""
-        names = set()
-        for point in self.points.values():
-            names.update(point.metrics)
-        return sorted(names)
-
     def __len__(self) -> int:
         return len(self.points)
 

@@ -10,49 +10,11 @@ generic value-level compression shared by both designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
-
-def run_length_encode(values: np.ndarray, max_run: int = 255) -> List[Tuple[int, float]]:
-    """Encode a flat value stream as ``(zero_run_length, value)`` pairs.
-
-    Each pair stores the number of zeros preceding a non-zero value and the
-    value itself; a trailing all-zero run is stored as ``(run, 0.0)``
-    records chunked at ``max_run``.
-    """
-    values = np.asarray(values).reshape(-1)
-    encoded: List[Tuple[int, float]] = []
-    run = 0
-    for value in values:
-        if value == 0:
-            run += 1
-            if run == max_run:
-                encoded.append((run, 0.0))
-                run = 0
-        else:
-            encoded.append((run, float(value)))
-            run = 0
-    if run:
-        encoded.append((run, 0.0))
-    return encoded
-
-
-def run_length_decode(encoded: List[Tuple[int, float]], total: int) -> np.ndarray:
-    """Invert :func:`run_length_encode`; ``total`` is the original length."""
-    out = np.zeros(total, dtype=np.float64)
-    position = 0
-    for run, value in encoded:
-        position += run
-        if value != 0.0:
-            if position >= total:
-                raise ValueError("encoded stream longer than the declared total")
-            out[position] = value
-            position += 1
-    if position > total:
-        raise ValueError("encoded stream longer than the declared total")
-    return out
+#: Metadata bytes per stored record (the zero-run length preceding a value).
+RUN_BYTES = 1
 
 
 @dataclass
@@ -73,16 +35,15 @@ class CompressionResult:
 class CompressingDMA:
     """Zero-compressing DMA engine model (Rhu et al., HPCA 2018).
 
-    ``value_bytes`` is the datatype width; ``run_bytes`` the metadata per
-    stored record.  The compressed size is what the DRAM model is charged
-    for.
+    ``value_bytes`` is the datatype width; each stored record adds
+    :data:`RUN_BYTES` of metadata.  The compressed size is what the DRAM
+    model is charged for.
     """
 
-    def __init__(self, value_bytes: int = 4, run_bytes: int = 1):
+    def __init__(self, value_bytes: int = 4):
         if value_bytes < 1:
             raise ValueError("value_bytes must be positive")
         self.value_bytes = value_bytes
-        self.run_bytes = run_bytes
 
     def compressed_size(self, tensor: np.ndarray) -> CompressionResult:
         """Size of the tensor after zero compression, without materialising it."""
@@ -90,24 +51,10 @@ class CompressingDMA:
         total = int(tensor.size)
         nonzero = int(np.count_nonzero(tensor))
         dense_bytes = total * self.value_bytes
-        record_bytes = self.value_bytes + self.run_bytes
+        record_bytes = self.value_bytes + RUN_BYTES
         # One record per non-zero value plus terminator records for long
         # trailing zero runs (second-order; approximated as one record).
-        compressed_bytes = nonzero * record_bytes + self.run_bytes
+        compressed_bytes = nonzero * record_bytes + RUN_BYTES
         # Compression never inflates beyond dense + metadata overhead cap.
-        compressed_bytes = min(compressed_bytes, dense_bytes + self.run_bytes)
+        compressed_bytes = min(compressed_bytes, dense_bytes + RUN_BYTES)
         return CompressionResult(dense_bytes=dense_bytes, compressed_bytes=compressed_bytes)
-
-    def compress(self, tensor: np.ndarray) -> Tuple[List[Tuple[int, float]], CompressionResult]:
-        """Actually encode the tensor (used by round-trip tests)."""
-        encoded = run_length_encode(tensor)
-        result = CompressionResult(
-            dense_bytes=int(tensor.size) * self.value_bytes,
-            compressed_bytes=len(encoded) * (self.value_bytes + self.run_bytes),
-        )
-        return encoded, result
-
-    def decompress(self, encoded: List[Tuple[int, float]], shape: Tuple[int, ...]) -> np.ndarray:
-        """Decode back to a dense tensor of ``shape``."""
-        total = int(np.prod(shape))
-        return run_length_decode(encoded, total).reshape(shape)

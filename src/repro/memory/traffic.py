@@ -15,6 +15,11 @@ import numpy as np
 
 from repro.memory.compression import CompressingDMA
 
+#: How many times each fetched on-chip value is reused by the PEs on
+#: average (spatial/temporal reuse inside a tile); scales scratchpad
+#: traffic relative to SRAM traffic.
+REUSE_FACTOR = 4.0
+
 
 @dataclass
 class MemoryTraffic:
@@ -65,16 +70,11 @@ class TrafficCounter:
         value_bytes: int = 4,
         compress_offchip: bool = True,
         scheduled_onchip: bool = False,
-        reuse_factor: float = 4.0,
     ):
         self.value_bytes = value_bytes
         self.compress_offchip = compress_offchip
         self.scheduled_onchip = scheduled_onchip
         self.dma = CompressingDMA(value_bytes=value_bytes)
-        # How many times each fetched on-chip value is reused by the PEs on
-        # average (spatial/temporal reuse inside a tile); scales scratchpad
-        # traffic relative to SRAM traffic.
-        self.reuse_factor = reuse_factor
 
     def _offchip_bytes(self, tensor: np.ndarray) -> int:
         if self.compress_offchip:
@@ -111,5 +111,5 @@ class TrafficCounter:
         output_bytes = outputs_size * self.value_bytes
         dram += output_bytes
         sram += output_bytes
-        scratchpad = int(sram * self.reuse_factor)
+        scratchpad = int(sram * REUSE_FACTOR)
         return MemoryTraffic(dram_bytes=dram, sram_bytes=sram, scratchpad_bytes=scratchpad)

@@ -194,7 +194,6 @@ def trace_workload(
             epochs=epochs,
             batches_per_epoch=batches_per_epoch,
             batch_size=batch_size,
-            learning_rate=learning_rate,
             **(
                 {}
                 if trace_max_batch is None

@@ -17,7 +17,7 @@ the ``repro scale`` CLI prints (:func:`format_scaling_report`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.reporting import format_table
 from repro.scale.interconnect import Interconnect
@@ -118,13 +118,6 @@ class ScalingReport:
         if self.scaled_cycles <= 0:
             return 0.0
         return self.comm_stall_cycles / self.scaled_cycles
-
-    @property
-    def max_compute_cycles(self) -> int:
-        """The slowest device's compute cycles (the load-balance floor)."""
-        if not self.devices:
-            return 0
-        return max(device.compute_cycles for device in self.devices)
 
     @property
     def bound(self) -> str:

@@ -226,23 +226,3 @@ class ScaleRunner:
             comm_stall_cycles=critical.stall_cycles,
             devices=devices,
         )
-
-    def curve(
-        self,
-        epoch: EpochTrace,
-        workload: str = "model",
-        device_counts=(1, 2, 4, 8),
-        partition: str = "data",
-        interconnect: Optional[Interconnect] = None,
-    ) -> List[ScalingReport]:
-        """One :meth:`run` per device count — the scaling-curve helper."""
-        return [
-            self.run(
-                epoch,
-                workload=workload,
-                num_devices=count,
-                partition=partition,
-                interconnect=interconnect,
-            )
-            for count in device_counts
-        ]

@@ -45,12 +45,6 @@ class InferenceLayerReport:
         return self.baseline_cycles / self.weight_prescheduled_cycles
 
     @property
-    def dynamic_speedup(self) -> float:
-        if self.dynamic_cycles == 0:
-            return 1.0
-        return self.baseline_cycles / self.dynamic_cycles
-
-    @property
     def weight_compression_ratio(self) -> float:
         if self.scheduled_weight_values == 0:
             return 1.0

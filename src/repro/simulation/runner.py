@@ -289,7 +289,7 @@ class ExperimentRunner:
         return self.accountant.efficiency(
             baseline_cycles=cycles["baseline"],
             tensordash_cycles=cycles["tensordash"],
-            baseline_traffic=traffic,
+            traffic=traffic,
             power_gated=power_gated,
         )
 
@@ -329,7 +329,6 @@ def simulate_model_training(
             epochs=epochs,
             batches_per_epoch=batches_per_epoch,
             batch_size=batch_size,
-            learning_rate=learning_rate,
         ),
         pruning_hook=pruning_hook,
     )

@@ -292,10 +292,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     # ------------------------------------------------------------------
     def render_prometheus(self) -> str:
         """The full registry in Prometheus text exposition format."""

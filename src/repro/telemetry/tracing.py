@@ -25,11 +25,11 @@ nothing and writes nothing — one shared no-op span object is returned —
 so instrumented code paths stay bit-identical to uninstrumented ones.
 
 Enabled tracers append one JSON object per finished span to
-``<dir>/events-00001.jsonl``; when a segment exceeds ``max_bytes`` the
-writer rolls to the next numbered segment and deletes the oldest beyond
-``max_files``.  Records never rewrite — the log is append-only, safe to
-tail — and :mod:`repro.telemetry.view` (the ``repro trace`` subcommand)
-renders any segment back into a span tree.
+``<dir>/events-00001.jsonl``; when a segment exceeds 32 MiB the writer
+rolls to the next numbered segment and keeps only the last 8 segments.
+Records never rewrite — the log is append-only, safe to tail — and
+:mod:`repro.telemetry.view` (the ``repro trace`` subcommand) renders any
+segment back into a span tree.
 """
 
 from __future__ import annotations
@@ -221,17 +221,9 @@ class Tracer:
     every instrumentation site takes by default.
     """
 
-    def __init__(
-        self,
-        directory=None,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        max_files: int = DEFAULT_MAX_FILES,
-    ):
+    def __init__(self, directory=None):
         self.directory = str(directory) if directory else None
-        self.writer = (
-            JsonlWriter(directory, max_bytes=max_bytes, max_files=max_files)
-            if directory else None
-        )
+        self.writer = JsonlWriter(directory) if directory else None
         self._local = threading.local()
         self.spans_emitted = 0
 
@@ -323,11 +315,7 @@ def get_tracer() -> Tracer:
     return tracer
 
 
-def configure(
-    directory=None,
-    max_bytes: int = DEFAULT_MAX_BYTES,
-    max_files: int = DEFAULT_MAX_FILES,
-) -> Tracer:
+def configure(directory=None) -> Tracer:
     """Replace the process-wide tracer (``directory=None`` disables it).
 
     Reconfiguring with the directory the current tracer already writes
@@ -342,9 +330,7 @@ def configure(
             return current
         if current is not None:
             current.close()
-        _GLOBAL_TRACER = Tracer(
-            directory, max_bytes=max_bytes, max_files=max_files
-        )
+        _GLOBAL_TRACER = Tracer(directory)
         return _GLOBAL_TRACER
 
 

@@ -20,6 +20,8 @@ from repro.telemetry.schema import iter_records, validate_record
 
 #: Attribute values longer than this are elided in tree lines.
 _MAX_ATTR_CHARS = 40
+#: Width of a tree line's label column (connector, name, attributes).
+_NAME_WIDTH = 72
 
 
 @dataclass
@@ -115,7 +117,7 @@ def _attribute_text(record: Dict) -> str:
 
 def _render_node(
     node: SpanNode, prefix: str, is_last: bool, is_root: bool,
-    min_s: float, lines: List[str], name_width: int,
+    min_s: float, lines: List[str],
 ) -> None:
     if node.total_s < min_s:
         return
@@ -128,18 +130,17 @@ def _render_node(
     attributes = _attribute_text(node.record)
     if attributes:
         label += "  " + attributes
-    if len(label) > name_width:
-        label = label[: name_width - 1] + "…"
+    if len(label) > _NAME_WIDTH:
+        label = label[: _NAME_WIDTH - 1] + "…"
     lines.append(
-        f"{label:<{name_width}}  total {_format_seconds(node.total_s)}"
+        f"{label:<{_NAME_WIDTH}}  total {_format_seconds(node.total_s)}"
         f"  self {_format_seconds(node.self_s)}"
     )
     visible = [c for c in node.children if c.total_s >= min_s]
     hidden = len(node.children) - len(visible)
     for index, child in enumerate(visible):
         _render_node(
-            child, child_prefix, index == len(visible) - 1, False,
-            min_s, lines, name_width,
+            child, child_prefix, index == len(visible) - 1, False, min_s, lines,
         )
     if hidden:
         lines.append(
@@ -151,7 +152,6 @@ def render_trace_trees(
     path,
     trace_id: Optional[str] = None,
     min_ms: float = 0.0,
-    name_width: int = 72,
 ) -> str:
     """Render every trace under ``path`` as an indented span tree.
 
@@ -174,8 +174,7 @@ def render_trace_trees(
         ]
         for index, root in enumerate(tree.roots):
             _render_node(
-                root, "", index == len(tree.roots) - 1, True,
-                min_ms / 1e3, lines, name_width,
+                root, "", index == len(tree.roots) - 1, True, min_ms / 1e3, lines,
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

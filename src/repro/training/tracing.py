@@ -11,7 +11,7 @@ scheduler's behaviour depends on) plus sparsity summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -102,17 +102,12 @@ class TraceCollector:
 
     Parameters
     ----------
-    store_masks:
-        Keep the full boolean masks (needed by the cycle simulator).  When
-        False only the summary sparsities are kept, which is enough for the
-        potential-speedup analytics and keeps long training runs light.
     max_batch:
         Trace at most this many samples per layer (operand statistics are
         per-sample phenomena, so a few samples suffice).
     """
 
-    def __init__(self, store_masks: bool = True, max_batch: Optional[int] = 4):
-        self.store_masks = store_masks
+    def __init__(self, max_batch: Optional[int] = 4):
         self.max_batch = max_batch
 
     def _clip(self, tensor: np.ndarray) -> np.ndarray:
@@ -164,12 +159,11 @@ class TraceCollector:
                     record.macs = int(n * out_h * out_w * np.prod(weights.shape))
                 else:
                     record.macs = int(activations.shape[0]) * int(np.prod(weights.shape))
-            if self.store_masks:
-                if weights is not None:
-                    record.weight_mask = weights != 0
-                if activations is not None:
-                    record.activation_mask = self._clip(activations) != 0
-                if gradients is not None:
-                    record.output_gradient_mask = self._clip(gradients) != 0
+            if weights is not None:
+                record.weight_mask = weights != 0
+            if activations is not None:
+                record.activation_mask = self._clip(activations) != 0
+            if gradients is not None:
+                record.output_gradient_mask = self._clip(gradients) != 0
             trace.layers.append(record)
         return trace

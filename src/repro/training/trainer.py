@@ -9,7 +9,7 @@ after every optimiser step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -36,15 +36,16 @@ DEFAULT_TRACE_MAX_BATCH = 4
 
 @dataclass
 class TrainingConfig:
-    """Hyperparameters of one training run."""
+    """Length and tracing of one training run.
+
+    The learning rate belongs to the optimizer and the seed to the model
+    and dataset builders; the trainer reads neither.
+    """
 
     epochs: int = 5
     batches_per_epoch: int = 8
     batch_size: int = 8
-    learning_rate: float = 0.01
-    trace_masks: bool = True
     trace_max_batch: int = DEFAULT_TRACE_MAX_BATCH
-    seed: int = 0
 
 
 @dataclass
@@ -87,10 +88,7 @@ class Trainer:
         self.loss = loss or CrossEntropyLoss()
         self.config = config or TrainingConfig()
         self.pruning_hook = pruning_hook
-        self.collector = TraceCollector(
-            store_masks=self.config.trace_masks,
-            max_batch=self.config.trace_max_batch,
-        )
+        self.collector = TraceCollector(max_batch=self.config.trace_max_batch)
         self.epoch_stats: List[EpochStats] = []
 
     def _train_step(self, inputs: np.ndarray, labels: np.ndarray) -> Tuple[float, float]:

@@ -26,7 +26,7 @@ SIMULATE_BODY = {
 
 @pytest.fixture(scope="module")
 def server_url():
-    server = create_server(port=0, session=Session(), quiet=True)
+    server = create_server(port=0, session=Session())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -210,7 +210,7 @@ class TestServe:
 
 class TestAccessLog:
     def _serve(self, access_log=None):
-        server = create_server(port=0, session=Session(), quiet=True,
+        server = create_server(port=0, session=Session(),
                                access_log=access_log)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -252,7 +252,7 @@ class TestStudyRoot:
     def test_study_dir_under_the_root_is_allowed_and_escapes_are_not(self, tmp_path):
         root = tmp_path / "studies"
         root.mkdir()
-        server = create_server(port=0, session=Session(), quiet=True,
+        server = create_server(port=0, session=Session(),
                                study_root=root)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

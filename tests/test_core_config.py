@@ -57,16 +57,13 @@ class TestAcceleratorConfig:
         assert config.total_pes == 256
         assert config.macs_per_cycle == 4096
         assert config.frequency_mhz == 500
-        assert config.tech_node_nm == 65
         assert config.cycle_time_ns == pytest.approx(2.0)
 
     def test_memory_defaults_match_table2(self):
         memory = MemoryConfig()
         assert memory.am_kb_per_bank == 256
         assert memory.banks_per_tile == 4
-        assert memory.scratchpad_kb == 1
         assert memory.scratchpad_banks == 3
-        assert memory.transposers == 15
         assert memory.dram_channels == 4
         assert memory.dram_mts == 3200
         assert memory.on_chip_kb_per_tile == 3 * 256 * 4

@@ -48,11 +48,10 @@ class TestTensorDashPE:
             assert result.output == pytest.approx(baseline.output, rel=1e-9)
 
     def test_functional_equivalence_two_side(self):
-        config = PEConfig(two_side=True)
         for seed in range(5):
             a, b = make_streams(a_sparsity=0.4, b_sparsity=0.4, seed=seed)
-            baseline = BaselinePE(config).process(a, b)
-            result, _ = TensorDashPE(config).process(a, b)
+            baseline = BaselinePE().process(a, b)
+            result, _ = TensorDashPE(two_side=True).process(a, b)
             assert result.output == pytest.approx(baseline.output, rel=1e-9)
 
     def test_never_slower_than_baseline(self):
@@ -75,8 +74,8 @@ class TestTensorDashPE:
 
     def test_two_side_skips_more_than_one_side(self):
         a, b = make_streams(a_sparsity=0.5, b_sparsity=0.5, rows=120, seed=3)
-        one_side, _ = TensorDashPE(PEConfig(two_side=False)).process(a, b)
-        two_side, _ = TensorDashPE(PEConfig(two_side=True)).process(a, b)
+        one_side, _ = TensorDashPE().process(a, b)
+        two_side, _ = TensorDashPE(two_side=True).process(a, b)
         assert two_side.macs_performed <= one_side.macs_performed
         assert two_side.cycles <= one_side.cycles
 

@@ -197,7 +197,7 @@ class TestSystemEquivalence:
         results = engine.simulate_layers([bare] + list(traces))
         assert [r.layer_name for r in results] == [t.layer_name for t in traces]
         with pytest.raises(ValueError, match="'untraced' has no operand masks"):
-            engine.simulator.simulate_layer(bare)
+            engine.simulator_for().simulate_layer(bare)
 
     def test_stats_count_simulated_layers(self, traces):
         engine = SimulationEngine(max_groups=16)

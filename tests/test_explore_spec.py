@@ -1,5 +1,6 @@
 """Tests for study specifications, expansion, sampling and scenarios."""
 
+import itertools
 import json
 
 import numpy as np
@@ -175,6 +176,28 @@ class TestExpansion:
         trace_params = full[0].trace_params
         decoded = [spec._point_at(i, trace_params) for i in range(spec.space_size)]
         assert decoded == full
+
+    def test_expansion_order_is_the_itertools_product(self):
+        # The reference order: workloads, then scenarios, then the knob
+        # values with the first knob varying slowest.
+        knobs = {"rows": [1, 4, 8], "staging": [2, 3], "datatype": ["fp32", "bfloat16"]}
+        spec = small_spec(
+            workloads=["snli", "alexnet"], knobs=knobs,
+            scenarios=["traced", "random:0.5"],
+        )
+        expected = [
+            (workload, scenario, tuple(zip(knobs, values)))
+            for workload, scenario, *values in itertools.product(
+                spec.workloads, spec.scenarios, *knobs.values()
+            )
+        ]
+        points = spec.expand()
+        assert [(p.workload, p.scenario, p.knobs) for p in points] == expected
+        sampled = StudySpec.from_dict(
+            {**spec.to_dict(), "mode": "random", "sample": 7}
+        ).expand()
+        positions = [points.index(p) for p in sampled]
+        assert positions == sorted(positions) and len(set(positions)) == 7
 
     def test_fingerprint_ignores_presentation_fields(self):
         base = small_spec()

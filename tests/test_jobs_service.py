@@ -42,7 +42,7 @@ SPEC = {
 def _start(**kwargs):
     kwargs.setdefault("session", Session())
     kwargs.setdefault("job_workers", 1)
-    server = create_server(port=0, quiet=True, **kwargs)
+    server = create_server(port=0, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -1,106 +1,71 @@
-"""Dedicated coverage for ``repro.memory.dram`` transfer latency/energy math.
+"""Off-chip DRAM: peak bandwidth, transfer time and energy.
 
-The DRAM model is what grounds both the energy accounting (pJ/byte) and —
-through :mod:`repro.memory.hierarchy` — the bandwidth-constrained cycle
-model, so its arithmetic is pinned down here.
+Peak bandwidth is :attr:`repro.core.config.MemoryConfig.peak_dram_bandwidth_gbps`.
+It grounds :meth:`repro.memory.hierarchy.MemoryHierarchy.table2`, whose
+DRAM cycles are each operation's transfer time, and DRAM energy is the
+:class:`repro.energy.EnergyAccountant`'s per-byte charge.  Their
+arithmetic is pinned down here.
 """
 
 import pytest
 
-from repro.memory.dram import DEFAULT_PJ_PER_BYTE, DRAMModel
+from repro.core.config import AcceleratorConfig, MemoryConfig
+from repro.energy import EnergyAccountant, EnergyPerAccess
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.traffic import MemoryTraffic
+
+FREQUENCY_MHZ = 500
+
+
+def dram_cycles(num_bytes, channels=4):
+    """Accelerator cycles the Table 2 hierarchy charges to move the bytes."""
+    config = AcceleratorConfig(memory=MemoryConfig(dram_channels=channels))
+    verdict = MemoryHierarchy.table2(config).constrain(
+        0, MemoryTraffic(dram_bytes=num_bytes), FREQUENCY_MHZ
+    )
+    return verdict.dram_cycles
+
+
+def dram_energy_pj(traffic):
+    return EnergyAccountant().baseline_energy(0, traffic).dram_pj
 
 
 class TestBandwidth:
     def test_table2_peak_bandwidth(self):
         # 4-channel LPDDR4-3200, 32-bit bus: 4 * 3200e6 * 4 B = 51.2 GB/s.
-        assert DRAMModel().peak_bandwidth_gbps == pytest.approx(51.2)
+        assert MemoryConfig().peak_dram_bandwidth_gbps == pytest.approx(51.2)
 
     def test_bandwidth_scales_with_channels_and_rate(self):
-        one = DRAMModel(channels=1).peak_bandwidth_gbps
-        four = DRAMModel(channels=4).peak_bandwidth_gbps
+        one = MemoryConfig(dram_channels=1).peak_dram_bandwidth_gbps
+        four = MemoryConfig(dram_channels=4).peak_dram_bandwidth_gbps
         assert four == pytest.approx(4 * one)
-        slow = DRAMModel(mts=1600).peak_bandwidth_gbps
-        assert DRAMModel(mts=3200).peak_bandwidth_gbps == pytest.approx(2 * slow)
-
-    def test_bandwidth_scales_with_bus_width(self):
-        narrow = DRAMModel(bus_bits=16).peak_bandwidth_gbps
-        assert DRAMModel(bus_bits=32).peak_bandwidth_gbps == pytest.approx(2 * narrow)
+        slow = MemoryConfig(dram_mts=1600).peak_dram_bandwidth_gbps
+        assert MemoryConfig(dram_mts=3200).peak_dram_bandwidth_gbps == pytest.approx(2 * slow)
 
     def test_rejects_nonpositive_channels(self):
-        with pytest.raises(ValueError):
-            DRAMModel(channels=0)
+        with pytest.raises(ValueError, match="dram_channels"):
+            MemoryConfig(dram_channels=0).peak_dram_bandwidth_gbps
 
 
 class TestTransferLatency:
     def test_latency_is_bytes_over_peak_bandwidth(self):
-        dram = DRAMModel()
-        transfer = dram.transfer(51_200)
-        # 51200 B at 51.2 GB/s = 1 microsecond = 1000 ns.
-        assert transfer.latency_ns == pytest.approx(1000.0)
+        # 51200 B at 51.2 GB/s = 1 microsecond = 500 cycles at 500 MHz.
+        assert dram_cycles(51_200) == 500
 
     def test_zero_byte_transfer_has_zero_latency_and_energy(self):
-        transfer = DRAMModel().transfer(0)
-        assert transfer.latency_ns == 0.0
-        assert transfer.energy_pj == 0.0
+        assert dram_cycles(0) == 0
+        assert dram_energy_pj(MemoryTraffic()) == 0.0
 
     def test_latency_linear_in_bytes(self):
-        dram = DRAMModel()
-        assert dram.transfer(3000).latency_ns == pytest.approx(
-            3 * dram.transfer(1000).latency_ns
-        )
+        assert dram_cycles(3072) == 3 * dram_cycles(1024)
 
     def test_fewer_channels_mean_proportionally_longer_latency(self):
-        wide = DRAMModel(channels=4).transfer(4096).latency_ns
-        narrow = DRAMModel(channels=1).transfer(4096).latency_ns
-        assert narrow == pytest.approx(4 * wide)
+        wide = dram_cycles(4096, channels=4)
+        narrow = dram_cycles(4096, channels=1)
+        assert narrow == 4 * wide
 
 
 class TestTransferEnergy:
     def test_energy_is_pj_per_byte(self):
-        dram = DRAMModel()
-        transfer = dram.transfer(1000)
-        assert transfer.energy_pj == pytest.approx(1000 * DEFAULT_PJ_PER_BYTE)
-
-    def test_custom_pj_per_byte(self):
-        dram = DRAMModel(pj_per_byte=10.0)
-        dram.transfer(100)
-        dram.transfer(50, write=True)
-        assert dram.energy_pj == pytest.approx(1500.0)
-
-    def test_reads_and_writes_charged_identically(self):
-        dram = DRAMModel()
-        read = dram.transfer(2048).energy_pj
-        write = dram.transfer(2048, write=True).energy_pj
-        assert read == pytest.approx(write)
-
-
-class TestAccounting:
-    def test_directional_byte_counters(self):
-        dram = DRAMModel()
-        dram.transfer(300)
-        dram.transfer(200)
-        dram.transfer(100, write=True)
-        assert dram.bytes_read == 500
-        assert dram.bytes_written == 100
-        assert dram.total_bytes == 600
-
-    def test_capacity_from_gb(self):
-        assert DRAMModel(capacity_gb=16).capacity_bytes == 16 * (1 << 30)
-
-    def test_reset_clears_all_counters(self):
-        dram = DRAMModel()
-        dram.transfer(100)
-        dram.transfer(100, write=True)
-        dram.reset()
-        assert dram.bytes_read == 0
-        assert dram.bytes_written == 0
-        assert dram.energy_pj == 0.0
-
-    def test_transfer_record_carries_direction(self):
-        dram = DRAMModel()
-        assert dram.transfer(10).write is False
-        assert dram.transfer(10, write=True).write is True
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            DRAMModel().transfer(-5)
+        energy = dram_energy_pj(MemoryTraffic(dram_bytes=1000))
+        assert energy == pytest.approx(1000 * EnergyPerAccess().dram_pj_per_byte)

@@ -1,69 +1,34 @@
-"""Tests for the DRAM model, zero compression and traffic counting."""
+"""Tests for DRAM bandwidth and energy, zero compression and traffic counting."""
 
 import numpy as np
 import pytest
 
-from repro.memory.compression import (
-    CompressingDMA,
-    run_length_decode,
-    run_length_encode,
-)
-from repro.memory.dram import DRAMModel
+from repro.core.config import MemoryConfig
+from repro.energy import EnergyAccountant, EnergyPerAccess
+from repro.memory.compression import RUN_BYTES, CompressingDMA
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.traffic import MemoryTraffic, TrafficCounter
 
 
 class TestDRAM:
     def test_peak_bandwidth(self):
-        dram = DRAMModel(channels=4, mts=3200, bus_bits=32)
-        assert dram.peak_bandwidth_gbps == pytest.approx(4 * 3200e6 * 4 / 1e9)
+        memory = MemoryConfig(dram_channels=4, dram_mts=3200)
+        assert memory.peak_dram_bandwidth_gbps == pytest.approx(4 * 3200e6 * 4 / 1e9)
 
     def test_transfer_accumulates_bytes_and_energy(self):
-        dram = DRAMModel()
-        dram.transfer(1000)
-        dram.transfer(500, write=True)
-        assert dram.bytes_read == 1000
-        assert dram.bytes_written == 500
-        assert dram.total_bytes == 1500
-        assert dram.energy_pj == pytest.approx(1500 * dram.pj_per_byte)
+        traffic = MemoryTraffic(dram_bytes=1000) + MemoryTraffic(dram_bytes=500)
+        assert traffic.dram_bytes == 1500
+        energy = EnergyAccountant().baseline_energy(0, traffic).dram_pj
+        assert energy == pytest.approx(1500 * EnergyPerAccess().dram_pj_per_byte)
 
     def test_latency_scales_with_bytes(self):
-        dram = DRAMModel()
-        small = dram.transfer(1000).latency_ns
-        large = dram.transfer(10000).latency_ns
-        assert large == pytest.approx(small * 10)
+        hierarchy = MemoryHierarchy.table2()
 
-    def test_reset(self):
-        dram = DRAMModel()
-        dram.transfer(100)
-        dram.reset()
-        assert dram.total_bytes == 0
-        assert dram.energy_pj == 0.0
+        def cycles(num_bytes):
+            traffic = MemoryTraffic(dram_bytes=num_bytes)
+            return hierarchy.constrain(0, traffic, 500).dram_cycles
 
-    def test_rejects_negative_bytes(self):
-        with pytest.raises(ValueError):
-            DRAMModel().transfer(-1)
-
-
-class TestRunLengthCoding:
-    def test_roundtrip_random_sparse(self):
-        rng = np.random.default_rng(0)
-        for sparsity in (0.0, 0.5, 0.95, 1.0):
-            values = rng.normal(size=200)
-            values[rng.random(200) < sparsity] = 0.0
-            encoded = run_length_encode(values)
-            assert np.allclose(run_length_decode(encoded, 200), values)
-
-    def test_all_zero_stream_encodes_compactly(self):
-        encoded = run_length_encode(np.zeros(100))
-        assert len(encoded) == 1
-
-    def test_long_zero_runs_chunked_at_max_run(self):
-        encoded = run_length_encode(np.zeros(600), max_run=255)
-        assert len(encoded) == 3
-
-    def test_decode_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            run_length_decode([(0, 1.0), (0, 2.0)], total=1)
+        assert cycles(10240) == cycles(1024) * 10
 
 
 class TestCompressingDMA:
@@ -81,15 +46,7 @@ class TestCompressingDMA:
     def test_dense_tensor_does_not_inflate_meaningfully(self):
         dma = CompressingDMA(value_bytes=4)
         result = dma.compressed_size(np.ones((32, 32)))
-        assert result.compressed_bytes <= result.dense_bytes + dma.run_bytes
-
-    def test_compress_decompress_roundtrip(self):
-        rng = np.random.default_rng(2)
-        dma = CompressingDMA()
-        tensor = rng.normal(size=(8, 16))
-        tensor[rng.random(tensor.shape) < 0.6] = 0.0
-        encoded, _ = dma.compress(tensor)
-        assert np.allclose(dma.decompress(encoded, tensor.shape), tensor)
+        assert result.compressed_bytes <= result.dense_bytes + RUN_BYTES
 
 
 class TestTrafficCounter:

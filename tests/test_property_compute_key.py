@@ -14,18 +14,25 @@ conv and fc traces:
   and one memo-sharing engine serving both configs returns exactly what
   a fresh cache-less engine returns for each;
 * no dead fields: every entry of the key changes the compute part for
-  some mutation.
+  some mutation;
+* no dead settings: every mutation, from at least one base, moves a
+  result — the finalized layer results (operations and traffic), the
+  energy report, an area or power breakdown, or the Table 2 hierarchy
+  the config derives.
 """
 
 from dataclasses import fields, is_dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.core.config import AcceleratorConfig, MemoryConfig
+from repro.energy import AreaModel, PowerModel
 from repro.engine import SimulationEngine, compute_fingerprint
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.simulation.cycle_sim import LayerSimulator
+from repro.simulation.runner import ExperimentRunner, ModelResult
 from repro.training.tracing import LayerTrace
 from tests.test_engine_backends import assert_results_identical
 
@@ -45,27 +52,22 @@ MUTATIONS = {
     "pe.lanes": 8,
     "pe.staging_depth": 2,
     "pe.datatype": "bfloat16",
-    "pe.two_side": True,
     "tile.rows": 2,
     "tile.columns": 2,
     "memory.am_kb_per_bank": 128,
     "memory.bm_kb_per_bank": 128,
     "memory.cm_kb_per_bank": 128,
     "memory.banks_per_tile": 2,
-    "memory.scratchpad_kb": 2,
     "memory.scratchpad_banks": 1,
-    "memory.transposer_buffer_kb": 2,
-    "memory.transposers": 7,
-    "memory.dram_gb": 8,
     "memory.dram_channels": 2,
     "memory.dram_mts": 1600,
     "memory.compress_offchip": False,
     "hierarchy.dram_bandwidth_gbps": 8.0,
     "hierarchy.sram_bandwidth_gbps": 64.0,
-    "hierarchy.sram_kb": 64,
+    # Small enough that the test traces spill to DRAM.
+    "hierarchy.sram_kb": 1,
     "num_tiles": 4,
     "frequency_mhz": 1000,
-    "tech_node_nm": 45,
     "power_gated": True,
     "max_groups": 2,
 }
@@ -165,3 +167,29 @@ def test_every_key_entry_changes_the_compute_part():
             old, new = dict(before.compute_inputs), dict(after.compute_inputs)
             live.update(name for name in old if old[name] != new[name])
     assert live == set(dict(LayerSimulator().compute_inputs))
+
+
+@lru_cache(maxsize=None)
+def observed(config, max_groups):
+    """Everything a setting can move, for one ``(config, max_groups)``."""
+    layers = LayerSimulator(config, max_groups=max_groups).simulate_layers(TRACES)
+    runner = ExperimentRunner(config, max_groups=max_groups)
+    energy = runner.energy_report(ModelResult("traces", 0, layers))
+    area, power = AreaModel(config), PowerModel(config)
+    return (
+        [(layer.operations, layer.traffic) for layer in layers],
+        energy.as_dict(),
+        area.baseline().as_dict(), area.tensordash().as_dict(),
+        power.baseline().as_dict(), power.tensordash().as_dict(),
+        MemoryHierarchy.table2(config),
+    )
+
+
+@pytest.mark.parametrize("path", list(MUTATIONS))
+def test_every_setting_moves_a_result(path):
+    moved = [
+        base_name for base_name in BASES
+        if observed(*variant(base_name, path))
+        != observed(BASES[base_name], MAX_GROUPS)
+    ]
+    assert moved, f"{path} moves no result from either base"

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.config import PEConfig
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
@@ -176,9 +175,8 @@ class TestPEProperties:
     @given(value_stream_pairs())
     def test_functional_equivalence_two_side(self, streams):
         a, b = streams
-        config = PEConfig(two_side=True)
-        baseline = BaselinePE(config).process(a, b)
-        result, _ = TensorDashPE(config).process(a, b)
+        baseline = BaselinePE().process(a, b)
+        result, _ = TensorDashPE(two_side=True).process(a, b)
         assert np.isclose(result.output, baseline.output, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=50, deadline=None)

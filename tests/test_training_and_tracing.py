@@ -84,17 +84,11 @@ class TestTraceCollector:
 
     def test_masks_present_when_requested(self):
         model = self._traced_alexnet()
-        trace = TraceCollector(store_masks=True).collect(model, epoch=0)
+        trace = TraceCollector().collect(model, epoch=0)
         conv_trace = trace.layers[0]
         assert conv_trace.activation_mask is not None
         assert conv_trace.weight_mask is not None
         assert conv_trace.output_gradient_mask is not None
-
-    def test_masks_absent_when_disabled(self):
-        model = self._traced_alexnet()
-        trace = TraceCollector(store_masks=False).collect(model, epoch=0)
-        assert trace.layers[0].activation_mask is None
-        assert trace.layers[0].activation_sparsity >= 0.0
 
     def test_conv_layer_metadata(self):
         model = self._traced_alexnet()
