@@ -108,8 +108,7 @@ def main() -> int:
         "/v1/explore vs POST /v1/jobs + SSE + result on a warm cache",
     )
 
-    server = create_server(port=0, session=Session(),
-                           job_workers=1)
+    server = create_server(port=0, session=Session())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

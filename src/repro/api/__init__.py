@@ -8,8 +8,8 @@ supports:
   ``ExploreRequest`` and their results, wrapped in ``ApiResult``
   envelopes with schema version, timing and per-request engine stats);
 * :mod:`repro.api.session` — :class:`Session`, the facade that owns
-  exactly one :class:`~repro.engine.SimulationEngine` and keeps traces,
-  runners and layer results warm across calls;
+  exactly one :class:`~repro.engine.SimulationEngine`, which keeps
+  traces and layer results warm across calls;
 * :mod:`repro.api.service` — the ``repro serve`` batch service
   (stdlib ``ThreadingHTTPServer``) dispatching POSTed request documents
   into a shared session.

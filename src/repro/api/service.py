@@ -13,8 +13,9 @@ concurrent clients:
 * ``POST /v1/jobs`` — the asynchronous alternative: the body is any
   request document (``kind`` required — the path implies nothing) and
   the response is an immediate ``202`` with a
-  :class:`~repro.api.schema.JobRecord`.  The job executes on the
-  server's :class:`~repro.jobs.JobStore` worker pool; observe it via
+  :class:`~repro.api.schema.JobRecord`.  The job waits its turn on the
+  server's :class:`~repro.jobs.JobStore`, whose one worker thread runs
+  jobs oldest first; observe it via
   ``GET /v1/jobs`` (list), ``GET /v1/jobs/<id>`` (one record),
   ``GET /v1/jobs/<id>/events`` (a Server-Sent-Events stream of per-point
   progress; ``?since=SEQ`` resumes after a dropped connection),
@@ -26,7 +27,7 @@ concurrent clients:
   workloads — enough for a load balancer or job supervisor to
   introspect a worker.
 * ``GET /v1/stats`` — session counters: requests served, cached
-  traces/runners, resolved engine options and cache hit/miss totals.
+  traces, resolved engine options and cache hit/miss totals.
 * ``GET /v1/metrics`` — the process-wide metrics registry
   (:mod:`repro.telemetry.metrics`) in Prometheus text exposition format:
   request-latency histograms, per-tier cache hit counters, layers
@@ -56,7 +57,7 @@ return ``503``.  Unexpected faults return ``500`` with the exception
 text.
 
 Shutdown is graceful: SIGTERM or SIGINT (Ctrl-C) stops accepting
-connections, cancels queued jobs, drains running ones up to the
+connections, cancels queued jobs, drains the running one up to the
 ``--drain-seconds`` deadline, and flushes/closes the access and audit
 logs before the process exits.
 """
@@ -291,7 +292,12 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
                 "allow": sorted(handlers),
             }, headers={"Allow": allowed})
             return
-        handler()
+        try:
+            handler()
+        except UnknownJob as exc:
+            # Never submitted, or evicted by the retention TTL — possibly
+            # between two store calls of one handler.
+            self._send_json(404, {"error": str(exc)})
 
     def _route(self, path: str, query: Dict) -> Optional[Dict[str, Callable]]:
         """The ``{method: handler}`` table for ``path`` (``None`` = 404)."""
@@ -394,24 +400,14 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, {
             "jobs": [record.to_dict() for record in records],
             "queue_depth": summary["queue_depth"],
-            "workers": summary["workers"],
             "accepting": summary["accepting"],
         })
 
     def _handle_job_show(self, job_id: str) -> None:
-        try:
-            record = self.server.jobs.get(job_id)
-        except UnknownJob as exc:
-            self._send_json(404, {"error": str(exc)})
-            return
-        self._send_json(200, record.to_dict())
+        self._send_json(200, self.server.jobs.get(job_id).to_dict())
 
     def _handle_job_result(self, job_id: str) -> None:
-        try:
-            record = self.server.jobs.get(job_id)
-        except UnknownJob as exc:
-            self._send_json(404, {"error": str(exc)})
-            return
+        record = self.server.jobs.get(job_id)
         if record.state not in JOB_TERMINAL_STATES:
             self._send_json(409, {
                 "error": f"job {job_id!r} is {record.state}; its result is "
@@ -422,12 +418,7 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, self.server.jobs.result(job_id).to_dict())
 
     def _handle_job_cancel(self, job_id: str) -> None:
-        try:
-            record = self.server.jobs.cancel(job_id)
-        except UnknownJob as exc:
-            self._send_json(404, {"error": str(exc)})
-            return
-        self._send_json(200, record.to_dict())
+        self._send_json(200, self.server.jobs.cancel(job_id).to_dict())
 
     def _handle_job_events(self, job_id: str, query: Dict) -> None:
         """Stream a job's events as Server-Sent Events until it finishes.
@@ -438,11 +429,7 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         has no Content-Length, so the connection closes when it ends.
         """
         store = self.server.jobs
-        try:
-            store.get(job_id)
-        except UnknownJob as exc:
-            self._send_json(404, {"error": str(exc)})
-            return
+        store.get(job_id)   # an unknown id is a 404 before the stream opens
         try:
             last = int((query.get("since") or ["0"])[0])
         except ValueError:
@@ -502,7 +489,6 @@ class ApiServer(ThreadingHTTPServer):
         session: Session,
         study_root: Optional[Union[str, Path]] = None,
         access_log: Optional[Union[str, Path]] = None,
-        job_workers: int = 2,
         job_retention: float = 3600.0,
         audit_log: Optional[Union[str, Path]] = None,
         max_body_mb: float = DEFAULT_MAX_BODY_MB,
@@ -519,7 +505,6 @@ class ApiServer(ThreadingHTTPServer):
         #: The asynchronous job layer every ``/v1/jobs*`` route drives.
         self.jobs = JobStore(
             session,
-            workers=job_workers,
             retention_seconds=job_retention,
             audit_log=audit_log,
         )
@@ -569,9 +554,9 @@ class ApiServer(ThreadingHTTPServer):
         super().server_close()
         # Servers torn down without the graceful path (tests, context
         # managers) still must not leak the store's audit handle or its
-        # worker threads' queue sentinels.  socketserver.__init__ calls
-        # server_close on bind failure, before these attributes exist —
-        # let the original OSError surface instead of an AttributeError.
+        # worker thread.  socketserver.__init__ calls server_close on
+        # bind failure, before these attributes exist — let the original
+        # OSError surface instead of an AttributeError.
         jobs = getattr(self, "jobs", None)
         if jobs is not None:
             jobs.shutdown(drain_seconds=0.0)
@@ -587,7 +572,6 @@ def create_server(
     session: Optional[Session] = None,
     study_root: Optional[Union[str, Path]] = None,
     access_log: Optional[Union[str, Path]] = None,
-    job_workers: int = 2,
     job_retention: float = 3600.0,
     audit_log: Optional[Union[str, Path]] = None,
     max_body_mb: float = DEFAULT_MAX_BODY_MB,
@@ -600,8 +584,8 @@ def create_server(
     return ApiServer(
         (host, port), session or Session(),
         study_root=study_root, access_log=access_log,
-        job_workers=job_workers, job_retention=job_retention,
-        audit_log=audit_log, max_body_mb=max_body_mb,
+        job_retention=job_retention, audit_log=audit_log,
+        max_body_mb=max_body_mb,
     )
 
 
@@ -611,7 +595,6 @@ def serve(
     session: Optional[Session] = None,
     study_root: Optional[Union[str, Path]] = None,
     access_log: Optional[Union[str, Path]] = None,
-    job_workers: int = 2,
     job_retention: float = 3600.0,
     audit_log: Optional[Union[str, Path]] = None,
     max_body_mb: float = DEFAULT_MAX_BODY_MB,
@@ -620,14 +603,14 @@ def serve(
     """Run the service until interrupted (the ``repro serve`` entry point).
 
     SIGTERM and SIGINT both trigger the graceful path: stop accepting,
-    cancel queued jobs, drain running ones up to ``drain_seconds``, and
+    cancel queued jobs, drain the running one up to ``drain_seconds``, and
     flush the access/audit logs before returning.
     """
     server = create_server(
         host=host, port=port, session=session,
         study_root=study_root, access_log=access_log,
-        job_workers=job_workers, job_retention=job_retention,
-        audit_log=audit_log, max_body_mb=max_body_mb,
+        job_retention=job_retention, audit_log=audit_log,
+        max_body_mb=max_body_mb,
     )
     bound_host, bound_port = server.server_address[:2]
     print(f"repro {__version__} serving on http://{bound_host}:{bound_port}  "

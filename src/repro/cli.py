@@ -59,14 +59,14 @@ JSON to a running ``repro serve``.
     Start the batch simulation service: concurrent clients POST request
     documents to ``/v1/simulate`` etc. and share one warm session, so a
     workload any client already ran returns as pure cache hits.
-    ``POST /v1/jobs`` runs any request asynchronously on a worker pool
-    (``--job-workers``) with SSE progress streams, cooperative
+    ``POST /v1/jobs`` runs any request asynchronously, one job at a
+    time on one worker thread, with SSE progress streams, cooperative
     cancellation and TTL result retention (``--job-retention``);
     ``--audit-log`` records every job state transition.
     ``GET /v1/metrics`` serves the process metrics registry in
     Prometheus text format; ``--access-log`` appends one structured
     JSON line per response.  SIGTERM/SIGINT shut down gracefully,
-    draining running jobs up to ``--drain-seconds``.
+    draining the running job up to ``--drain-seconds``.
 
 ``jobs``
     Client for a running server's asynchronous job API: ``jobs list``
@@ -382,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "response (method, path, status, duration, "
                             "sizes) to this file; off by default")
     serve.add_argument(
-        "--job-workers", type=int, default=2,
-        help="worker threads executing asynchronous /v1/jobs submissions "
-             "(default: 2)")
-    serve.add_argument(
         "--job-retention", type=float, default=3600.0,
         help="seconds a finished job's record and result stay queryable "
              "before eviction; 0 keeps them forever (default: 3600)")
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
              "refused with HTTP 413 (default: 8)")
     serve.add_argument(
         "--drain-seconds", type=float, default=10.0,
-        help="on SIGTERM/SIGINT, seconds to wait for running jobs to "
+        help="on SIGTERM/SIGINT, seconds to wait for the running job to "
              "finish before exiting anyway (default: 10)")
     _add_engine_arguments(serve)
 
@@ -914,9 +910,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     return serve(host=args.host, port=args.port, session=_session_for(args),
                  study_root=args.study_root, access_log=args.access_log,
-                 job_workers=args.job_workers,
-                 job_retention=args.job_retention,
-                 audit_log=args.audit_log, max_body_mb=args.max_body_mb,
+                 job_retention=args.job_retention, audit_log=args.audit_log,
+                 max_body_mb=args.max_body_mb,
                  drain_seconds=args.drain_seconds)
 
 
@@ -974,8 +969,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
             return 0
         rows = [_format_job_row(job) for job in payload["jobs"]]
         print(format_table(
-            f"Jobs on {base} (queue depth {payload['queue_depth']}, "
-            f"{payload['workers']} workers)",
+            f"Jobs on {base} (queue depth {payload['queue_depth']})",
             ["job id", "kind", "state", "events", "runtime", "cancel?"],
             rows,
         ))

@@ -2,7 +2,6 @@
 
 from repro.energy.area_model import AreaModel, AreaBreakdown
 from repro.energy.power_model import PowerModel, PowerBreakdown
-from repro.energy.energy_model import EnergyPerAccess
 from repro.energy.accounting import EnergyAccountant, EnergyBreakdown, EfficiencyReport
 
 __all__ = [
@@ -10,7 +9,6 @@ __all__ = [
     "AreaBreakdown",
     "PowerModel",
     "PowerBreakdown",
-    "EnergyPerAccess",
     "EnergyAccountant",
     "EnergyBreakdown",
     "EfficiencyReport",

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.config import AcceleratorConfig
-from repro.energy.energy_model import ComputeEnergyModel, EnergyPerAccess
+from repro.energy.energy_model import (
+    DRAM_PJ_PER_BYTE,
+    SCRATCHPAD_PJ_PER_BYTE,
+    SRAM_PJ_PER_BYTE,
+    ComputeEnergyModel,
+)
 from repro.memory.traffic import MemoryTraffic
 
 
@@ -80,20 +85,20 @@ class EfficiencyReport:
 class EnergyAccountant:
     """Turns simulation outputs into energy breakdowns and efficiency ratios.
 
-    Memory accesses are charged at the :class:`EnergyPerAccess` defaults.
+    Memory accesses are charged at the per-byte constants of
+    :mod:`repro.energy.energy_model`.
     """
 
     def __init__(self, config: Optional[AcceleratorConfig] = None):
         self.config = config or AcceleratorConfig()
         self.compute = ComputeEnergyModel(self.config)
-        self.per_access = EnergyPerAccess()
 
     def _memory_energy(self, traffic: MemoryTraffic) -> Dict[str, float]:
         sram = (
-            traffic.sram_bytes * self.per_access.sram_pj_per_byte
-            + traffic.scratchpad_bytes * self.per_access.scratchpad_pj_per_byte
+            traffic.sram_bytes * SRAM_PJ_PER_BYTE
+            + traffic.scratchpad_bytes * SCRATCHPAD_PJ_PER_BYTE
         )
-        dram = traffic.dram_bytes * self.per_access.dram_pj_per_byte
+        dram = traffic.dram_bytes * DRAM_PJ_PER_BYTE
         return {"sram": sram, "dram": dram}
 
     def baseline_energy(self, cycles: int, traffic: MemoryTraffic) -> EnergyBreakdown:

@@ -11,29 +11,15 @@ figure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import AcceleratorConfig
 from repro.energy.power_model import PowerModel
 
-
-@dataclass(frozen=True)
-class EnergyPerAccess:
-    """Per-event energies in picojoules.
-
-    Attributes
-    ----------
-    sram_pj_per_byte:
-        Large (256 KB-bank) on-chip AM/BM/CM access energy.
-    scratchpad_pj_per_byte:
-        Small PE-local scratchpad access energy.
-    dram_pj_per_byte:
-        Off-chip LPDDR4 transfer energy.
-    """
-
-    sram_pj_per_byte: float = 1.1
-    scratchpad_pj_per_byte: float = 0.18
-    dram_pj_per_byte: float = 48.0
+#: Large (256 KB-bank) on-chip AM/BM/CM access energy, pJ per byte.
+SRAM_PJ_PER_BYTE = 1.1
+#: Small PE-local scratchpad access energy, pJ per byte.
+SCRATCHPAD_PJ_PER_BYTE = 0.18
+#: Off-chip LPDDR4 transfer energy, pJ per byte.
+DRAM_PJ_PER_BYTE = 48.0
 
 
 class ComputeEnergyModel:

@@ -2,9 +2,9 @@
 
 The missing layer between the request/response service (``repro serve``)
 and the long-running work it fronts: a thread-safe in-memory
-:class:`JobStore` accepts any :mod:`repro.api.schema` request, queues it
-for a bounded pool of worker threads, records per-job progress events
-(the ``/v1/jobs/<id>/events`` SSE feed), honours cooperative
+:class:`JobStore` accepts any :mod:`repro.api.schema` request, runs the
+queued jobs one at a time on one worker thread, records per-job progress
+events (the ``/v1/jobs/<id>/events`` SSE feed), honours cooperative
 cancellation at study-point boundaries, evicts finished jobs after a
 retention TTL, and appends every submission and state transition to a
 persistent JSONL audit log validated by :mod:`repro.telemetry.schema`.

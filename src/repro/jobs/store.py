@@ -1,13 +1,16 @@
 """The :class:`JobStore`: queue, execute, observe and cancel session requests.
 
-One store owns a bounded pool of daemon worker threads draining a FIFO
-queue of submitted requests into ``session.submit``.  Everything an
-observer needs lives in memory under one condition variable:
+One store owns one daemon worker thread that runs submitted requests
+through ``session.submit``, oldest first.  The session runs one request
+at a time under its own lock, so a second thread would only wait on
+that lock while its job read ``running``.  Everything an observer needs
+lives in memory under one condition variable:
 
 * **state** — ``queued -> running -> succeeded | failed | cancelled``,
   every transition appended to the job's event list (and, when
   configured, to the JSONL audit log) and counted in
-  ``repro_jobs_total{state}``;
+  ``repro_jobs_total{state}``.  A ``queued`` job is the only record of
+  pending work: the worker claims the oldest one;
 * **events** — monotonically sequence-numbered records: one ``state``
   event per transition, one ``progress`` event per human-readable
   status line the session emits, one ``point`` event per completed
@@ -27,15 +30,14 @@ observer needs lives in memory under one condition variable:
 Results are retained ``retention_seconds`` past completion and then
 evicted (opportunistically, on the next submit/list/get — no reaper
 thread).  :meth:`JobStore.shutdown` stops intake, cancels queued jobs,
-and drains running ones up to a deadline — the graceful-shutdown half
-of ``repro serve``.
+and drains the running one up to a deadline — the graceful-shutdown
+half of ``repro serve``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
 import uuid
@@ -106,11 +108,8 @@ class JobStore:
     session:
         Anything with ``submit(request, progress=..., on_event=...)``
         returning an object with ``to_dict()`` — normally a
-        :class:`~repro.api.session.Session`.  The session serialises
-        simulation under its own lock, so ``workers`` bounds queue
-        drain concurrency, not simulation parallelism.
-    workers:
-        Worker threads draining the queue (``>= 1``).
+        :class:`~repro.api.session.Session`.  One worker thread runs
+        the jobs one at a time, oldest submission first.
     retention_seconds:
         How long finished jobs (and their results/events) stay
         retrievable; older ones are evicted opportunistically.
@@ -126,40 +125,32 @@ class JobStore:
     def __init__(
         self,
         session,
-        workers: int = 2,
         retention_seconds: float = 3600.0,
         audit_log: Optional[Union[str, Path]] = None,
         clock: Callable[[], float] = time.time,
     ):
-        if workers < 1:
-            raise ValueError(f"job workers must be >= 1, got {workers}")
         if retention_seconds < 0:
             raise ValueError(
                 f"job retention must be >= 0 seconds, got {retention_seconds}"
             )
         self.session = session
-        self.workers = int(workers)
         self.retention_seconds = float(retention_seconds)
         self._clock = clock
         self._cond = threading.Condition()
+        #: Every retained job in submission order (dicts keep insertion
+        #: order), so the first queued one is the oldest.
         self._jobs: "Dict[str, _Job]" = {}
-        self._queue: "queue.SimpleQueue[Optional[str]]" = queue.SimpleQueue()
         self._accepting = True
-        self._closed = False
         self.audit_log = str(audit_log) if audit_log else None
         self._audit_lock = threading.Lock()
         self._audit_handle = None
         if self.audit_log:
             Path(self.audit_log).parent.mkdir(parents=True, exist_ok=True)
             self._audit_handle = open(self.audit_log, "a", encoding="utf-8")
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, name=f"job-worker-{index}", daemon=True
-            )
-            for index in range(self.workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(
+            target=self._worker_loop, name="job-worker", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # audit log
@@ -285,11 +276,14 @@ class JobStore:
             self._purge_locked()
             job = _Job(job_id, request, created_s=self._clock())
             self._jobs[job_id] = job
-            self._record_event_locked(job, {"type": "state", "state": "queued"})
             _metrics.JOBS_TOTAL.inc(state="queued")
             self._update_queue_gauge_locked()
             self._audit(job, "submitted", request=request.to_dict())
-        self._queue.put(job_id)
+            # Recorded last, because the event wakes the worker: the
+            # audit write releases the GIL, and a worker woken before it
+            # takes the lock the moment this block releases it, starting
+            # the job before the caller's next call can see it queued.
+            self._record_event_locked(job, {"type": "state", "state": "queued"})
         return job_id
 
     def get(self, job_id: str) -> JobRecord:
@@ -407,7 +401,6 @@ class JobStore:
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
             return {
-                "workers": self.workers,
                 "accepting": self._accepting,
                 "retention_seconds": self.retention_seconds,
                 "audit_log": self.audit_log,
@@ -416,29 +409,25 @@ class JobStore:
             }
 
     def shutdown(self, drain_seconds: float = 10.0) -> None:
-        """Stop intake, cancel queued jobs, drain running ones, close logs.
+        """Stop intake, cancel queued jobs, drain the running one, close logs.
 
-        Queued jobs transition straight to ``cancelled``; running jobs
-        get ``drain_seconds`` to finish, after which their cancel flags
-        are set so they stop at the next progress boundary (worker
-        threads are daemonic — process exit does not wait for them).
+        Queued jobs transition straight to ``cancelled``; the running
+        job gets ``drain_seconds`` to finish, after which its cancel
+        flag is set so it stops at the next progress boundary (the
+        worker thread is daemonic — process exit does not wait for it).
         Idempotent.
         """
         with self._cond:
-            if self._closed:
+            if not self._accepting:
                 return
-            self._closed = True
             self._accepting = False
             for job in list(self._jobs.values()):
                 if job.state == "queued":
                     job.cancel_requested = True
                     self._transition_locked(job, "cancelled")
             self._update_queue_gauge_locked()
-        for _ in self._threads:
-            self._queue.put(None)
-        deadline = time.monotonic() + max(0.0, drain_seconds)
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
+            self._cond.notify_all()   # an idle worker wakes up and exits
+        self._thread.join(max(0.0, drain_seconds))
         with self._cond:
             for job in self._jobs.values():
                 if job.state == "running":
@@ -448,21 +437,31 @@ class JobStore:
     # ------------------------------------------------------------------
     # worker side
 
+    def _claim_next(self) -> Optional[_Job]:
+        """Block until a job is queued, then mark the oldest one running.
+
+        Returns ``None`` once the store stops accepting (shutdown
+        cancels every queued job in the same critical section).  Each
+        submission records a ``queued`` event, which notifies the
+        condition, so an idle worker wakes for it.  The queued->running
+        transition happens exactly once, under the lock, so a job can
+        never execute twice.
+        """
+        with self._cond:
+            while self._accepting:
+                for job in self._jobs.values():
+                    if job.state == "queued":
+                        self._transition_locked(job, "running")
+                        self._update_queue_gauge_locked()
+                        return job
+                self._cond.wait()
+            return None
+
     def _worker_loop(self) -> None:
-        while True:
-            job_id = self._queue.get()
-            if job_id is None:
-                return
-            with self._cond:
-                job = self._jobs.get(job_id)
-                # Evicted, or cancelled while queued: nothing to run.
-                # The queued->running transition happens exactly once,
-                # under the lock, so a job can never execute twice.
-                if job is None or job.state != "queued":
-                    continue
-                self._transition_locked(job, "running")
-                self._update_queue_gauge_locked()
+        job = self._claim_next()
+        while job is not None:
             self._execute(job)
+            job = self._claim_next()
 
     def _execute(self, job: _Job) -> None:
         def guard() -> None:

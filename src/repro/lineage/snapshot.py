@@ -34,16 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.explore.runner import MANIFEST_VERSION
 
-#: Metric fields that are wall-clock / environment noise rather than
-#: simulated results; always dropped from snapshots.  Study metrics are
-#: deterministic simulation outputs today, so this list exists for
-#: forward compatibility (and for callers feeding hand-built payloads).
-DEFAULT_IGNORE_FIELDS: Tuple[str, ...] = (
-    "elapsed_seconds",
-    "wall_seconds",
-    "wall_clock_seconds",
-)
-
 
 class SnapshotError(ValueError):
     """Raised when a payload or path cannot be read as a study snapshot."""
@@ -97,7 +87,7 @@ class SnapshotPoint:
                 f"point {point_id}: knobs must be (name, value) pairs, "
                 f"got {knob_pairs!r}"
             ) from None
-        dropped = set(ignore) | set(DEFAULT_IGNORE_FIELDS)
+        dropped = set(ignore)
         metrics: Dict[str, float] = {}
         for name, value in (record.get("metrics") or {}).items():
             if name in dropped:

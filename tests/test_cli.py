@@ -70,6 +70,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --study-jobs" in capsys.readouterr().err
 
+    def test_removed_job_workers_flag_is_a_usage_error(self, capsys):
+        """Jobs run on one thread: ``serve --job-workers`` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--job-workers", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --job-workers" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         from repro import __version__
 

@@ -5,7 +5,12 @@ import pytest
 from repro.core.config import AcceleratorConfig, PEConfig, bfloat16_config, paper_default_config
 from repro.energy.accounting import EnergyAccountant, EnergyBreakdown
 from repro.energy.area_model import AreaModel
-from repro.energy.energy_model import ComputeEnergyModel, EnergyPerAccess
+from repro.energy.energy_model import (
+    DRAM_PJ_PER_BYTE,
+    SCRATCHPAD_PJ_PER_BYTE,
+    SRAM_PJ_PER_BYTE,
+    ComputeEnergyModel,
+)
 from repro.energy.power_model import PowerModel
 from repro.memory.traffic import MemoryTraffic
 
@@ -119,6 +124,14 @@ class TestEnergyAccountant:
         fractions = breakdown.fractions()
         assert set(fractions) == {"core", "sram", "dram"}
         assert sum(fractions.values()) == pytest.approx(1.0)
+
+    def test_memory_is_charged_at_the_per_byte_constants(self):
+        breakdown = EnergyAccountant().baseline_energy(0, self._traffic())
+        assert breakdown.core_pj == 0
+        assert breakdown.sram_pj == (
+            100_000 * SRAM_PJ_PER_BYTE + 400_000 * SCRATCHPAD_PJ_PER_BYTE
+        )
+        assert breakdown.dram_pj == 10_000 * DRAM_PJ_PER_BYTE
 
     def test_efficiency_improves_with_speedup(self):
         accountant = EnergyAccountant()

@@ -165,18 +165,6 @@ class TestExpansion:
         spec = small_spec(mode="random", sample=100)
         assert len(spec.expand()) == spec.space_size
 
-    def test_index_decoding_matches_cartesian_order(self):
-        # Random mode decodes flat indices instead of materialising the
-        # space; the decode must agree with cartesian enumeration.
-        spec = small_spec(
-            knobs={"rows": [1, 4, 8], "staging": [2, 3], "datatype": ["fp32", "bfloat16"]},
-            scenarios=["traced", "random:0.5"],
-        )
-        full = spec.expand()
-        trace_params = full[0].trace_params
-        decoded = [spec._point_at(i, trace_params) for i in range(spec.space_size)]
-        assert decoded == full
-
     def test_expansion_order_is_the_itertools_product(self):
         # The reference order: workloads, then scenarios, then the knob
         # values with the first knob varying slowest.

@@ -22,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.api.session as session_module
 from repro.api.schema import JobRecord, JobResult
 from repro.api.service import create_server
 from repro.api.session import Session
+from repro.cli import main
+from repro.jobs import UnknownJob
 from repro.telemetry.schema import validate_file
 
 SIMULATE = {
@@ -41,7 +44,6 @@ SPEC = {
 
 def _start(**kwargs):
     kwargs.setdefault("session", Session())
-    kwargs.setdefault("job_workers", 1)
     server = create_server(port=0, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -102,7 +104,7 @@ def _wait_terminal(base, job_id, timeout=120):
 class TestJobLifecycle:
     @pytest.fixture(scope="class")
     def service(self):
-        server, thread, base = _start(session=Session(), job_workers=2)
+        server, thread, base = _start(session=Session())
         yield base
         server.shutdown_gracefully(drain_seconds=5.0)
         thread.join(timeout=5.0)
@@ -176,7 +178,7 @@ class TestJobLifecycle:
         assert status == 200
         assert record["job_id"] in {job["job_id"] for job in listing["jobs"]}
         assert all(job["state"] == "succeeded" for job in listing["jobs"])
-        assert listing["workers"] == 2
+        assert "workers" not in listing
 
     def test_result_of_unfinished_job_is_409(self, service):
         status, record, _ = _request(service + "/v1/jobs", "POST", SIMULATE)
@@ -191,9 +193,62 @@ class TestJobLifecycle:
     def test_health_reports_the_job_store(self, service):
         status, health, _ = _request(service + "/v1/health")
         assert status == 200
-        assert health["jobs"]["workers"] == 2
+        assert "workers" not in health["jobs"]
         assert health["jobs"]["accepting"] is True
         assert "/v1/jobs" in health["endpoints"]
+
+    def test_jobs_list_cli_title_names_no_worker_count(self, service, capsys):
+        assert main(["jobs", "--url", service, "list"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title.startswith(f"Jobs on {service} (queue depth ")
+        assert "worker" not in title
+
+
+class TestOneJobThread:
+    def test_job_behind_a_running_one_reads_queued_and_cancels_at_once(
+        self, monkeypatch
+    ):
+        """On a default server the job behind a running one stays
+        ``queued`` (no second thread claims it only to wait on the
+        session lock), so its cancel lands at once."""
+        gate, training = threading.Event(), threading.Event()
+        train = session_module.trace_workload
+
+        def gated_train(*args, **kwargs):
+            training.set()
+            assert gate.wait(timeout=60.0)
+            return train(*args, **kwargs)
+
+        # Bound before the session is built: its engine trains through it.
+        monkeypatch.setattr(session_module, "trace_workload", gated_train)
+        server, thread, base = _start(session=Session())
+        try:
+            status, first, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
+            assert status == 202
+            assert training.wait(timeout=60.0)   # first job holds the lock
+            status, second, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
+            assert status == 202
+            # Time for another thread, were there one, to claim the job.
+            time.sleep(0.2)
+            status, record, _ = _request(f"{base}/v1/jobs/{second['job_id']}")
+            assert record["state"] == "queued"
+            assert record["started_s"] is None
+            status, record, _ = _request(
+                f"{base}/v1/jobs/{second['job_id']}/cancel", "POST")
+            assert status == 200
+            assert record["state"] == "cancelled"
+            gate.set()
+            final = _wait_terminal(base, first["job_id"])
+            assert final["state"] == "succeeded"
+            assert server.session.requests_served == 1
+        finally:
+            gate.set()
+            server.shutdown_gracefully(drain_seconds=5.0)
+            thread.join(timeout=5.0)
+
+    def test_create_server_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="job_workers"):
+            create_server(port=0, session=Session(), job_workers=2)
 
 
 class TestCancelAndResume:
@@ -316,6 +371,30 @@ class TestHttpSemantics:
         assert status == 400
         assert payload["field"] == "SweepRequest.study_jobs"
 
+    def test_job_evicted_between_store_calls_is_404(self, monkeypatch):
+        """An ``UnknownJob`` from any store call answers 404 instead of
+        dropping the connection, e.g. a job evicted after the handler's
+        ``get`` succeeded."""
+        server, thread, base = _start(session=Session())
+
+        def evicted(job_id):
+            raise UnknownJob(job_id)
+
+        try:
+            status, record, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
+            job_id = record["job_id"]
+            _wait_terminal(base, job_id)
+            monkeypatch.setattr(server.jobs, "result", evicted)
+            status, payload, _ = _request(f"{base}/v1/jobs/{job_id}/result")
+            assert status == 404
+            assert job_id in payload["error"]
+            monkeypatch.setattr(server.jobs, "get", evicted)
+            status, payload, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
+            assert status == 404
+        finally:
+            server.shutdown_gracefully(drain_seconds=5.0)
+            thread.join(timeout=5.0)
+
     def test_unknown_job_routes_are_404(self, service):
         for path in ("/v1/jobs/nope", "/v1/jobs/nope/result",
                      "/v1/jobs/nope/events"):
@@ -354,7 +433,7 @@ class TestHttpStress:
     def test_concurrent_clients_sum_exactly(self):
         """Satellite: N threads submit/poll/cancel over HTTP; nothing is
         lost, nothing runs twice, and the server-side counters add up."""
-        server, thread, base = _start(session=Session(), job_workers=3)
+        server, thread, base = _start(session=Session())
         clients, per_client = 6, 3
         results, errors = [], []
         lock = threading.Lock()
@@ -408,7 +487,7 @@ class TestHttpStress:
 class TestGracefulShutdown:
     class _GateSession:
         """A session whose one job blocks until the test opens the gate,
-        pinning the single worker so the job behind it stays queued."""
+        pinning the store's worker so the job behind it stays queued."""
 
         def __init__(self):
             self.gate = threading.Event()
@@ -434,8 +513,7 @@ class TestGracefulShutdown:
         access = tmp_path / "access.jsonl"
         session = self._GateSession()
         server, thread, base = _start(
-            session=session, job_workers=1,
-            audit_log=audit, access_log=access)
+            session=session, audit_log=audit, access_log=access)
         status, first, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
         status, second, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
         # Open the gate only once the store has stopped intake — by then
@@ -477,8 +555,7 @@ class TestGracefulShutdown:
         env.pop("REPRO_TELEMETRY_DIR", None)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--job-workers", "1", "--drain-seconds", "30",
-             "--audit-log", str(audit)],
+             "--drain-seconds", "30", "--audit-log", str(audit)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
         )

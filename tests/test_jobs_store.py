@@ -8,6 +8,7 @@ simulation properties.  The end-to-end paths through a real
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -55,7 +56,7 @@ def _request(model="snli"):
 
 @pytest.fixture
 def store():
-    store = JobStore(_StubSession(), workers=2)
+    store = JobStore(_StubSession())
     yield store
     store.shutdown(drain_seconds=2.0)
 
@@ -102,7 +103,7 @@ class TestLifecycle:
             gate.wait(timeout=10.0)
             return {}
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         try:
             job_id = store.submit(_request())
             with pytest.raises(ValueError, match="terminal"):
@@ -115,7 +116,7 @@ class TestLifecycle:
         def behaviour(request, progress, on_event):
             raise RuntimeError("engine exploded")
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         try:
             job_id = store.submit(_request())
             record = store.wait(job_id, timeout=10.0)
@@ -138,10 +139,78 @@ class TestLifecycle:
             store.submit({"kind": "simulate"})
 
     def test_constructor_validates_knobs(self):
-        with pytest.raises(ValueError, match="workers"):
-            JobStore(_StubSession(), workers=0)
         with pytest.raises(ValueError, match="retention"):
             JobStore(_StubSession(), retention_seconds=-1.0)
+
+
+class TestOneWorker:
+    def test_store_starts_exactly_one_job_worker_thread(self):
+        before = set(threading.enumerate())
+        store = JobStore(_StubSession())
+        try:
+            started = set(threading.enumerate()) - before
+            assert [thread.name for thread in started] == ["job-worker"]
+        finally:
+            store.shutdown(drain_seconds=2.0)
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_worker_count_argument_is_gone(self):
+        with pytest.raises(TypeError, match="workers"):
+            JobStore(_StubSession(), workers=2)
+
+    def test_job_behind_a_running_one_stays_queued_and_cancels_at_once(self):
+        gate = threading.Event()
+        started = threading.Event()
+
+        def behaviour(request, progress, on_event):
+            if request.model == "resnet50":
+                started.set()
+                gate.wait(timeout=10.0)
+            return {}
+
+        session = _StubSession(behaviour)
+        store = JobStore(session)
+        try:
+            blocker = store.submit(_request("resnet50"))
+            assert started.wait(timeout=10.0)
+            behind = store.submit(_request())
+            # Time for another thread, were there one, to claim the job.
+            time.sleep(0.2)
+            record = store.get(behind)
+            assert record.state == "queued"
+            assert record.started_s is None
+            assert store.cancel(behind).state == "cancelled"
+            gate.set()
+            assert store.wait(blocker, timeout=10.0).state == "succeeded"
+            assert [r.model for r in session.executions] == ["resnet50"]
+        finally:
+            gate.set()
+            store.shutdown(drain_seconds=2.0)
+
+    def test_jobs_run_in_submission_order(self):
+        gate = threading.Event()
+        started = threading.Event()
+
+        def behaviour(request, progress, on_event):
+            if request.model == "resnet50":
+                started.set()
+                gate.wait(timeout=10.0)
+            return {}
+
+        session = _StubSession(behaviour)
+        store = JobStore(session)
+        try:
+            store.submit(_request("resnet50"))
+            assert started.wait(timeout=10.0)
+            models = ["alexnet", "snli", "densenet121", "squeezenet"]
+            job_ids = [store.submit(_request(model)) for model in models]
+            gate.set()
+            for job_id in job_ids:
+                assert store.wait(job_id, timeout=10.0).state == "succeeded"
+            assert [r.model for r in session.executions] == ["resnet50"] + models
+        finally:
+            gate.set()
+            store.shutdown(drain_seconds=2.0)
 
 
 class TestCancellation:
@@ -155,7 +224,7 @@ class TestCancellation:
             return {}
 
         session = _StubSession(behaviour)
-        store = JobStore(session, workers=1)
+        store = JobStore(session)
         try:
             blocker = store.submit(_request())
             assert started.wait(timeout=10.0)
@@ -183,7 +252,7 @@ class TestCancellation:
             progress("point 2")   # raises JobCancelled via the store's hook
             raise AssertionError("the job ran past its cancellation")
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         try:
             job_id = store.submit(_request())
             assert reached.wait(timeout=10.0)
@@ -210,7 +279,7 @@ class TestCancellation:
             on_event({"done": 2, "total": 3})
             raise AssertionError("the job ran past its cancellation")
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         try:
             job_id = store.submit(_request())
             assert reached.wait(timeout=10.0)
@@ -235,7 +304,7 @@ class TestCancellation:
 class TestRetention:
     def test_finished_jobs_are_evicted_after_the_ttl(self):
         now = [1000.0]
-        store = JobStore(_StubSession(), workers=1,
+        store = JobStore(_StubSession(),
                          retention_seconds=60.0, clock=lambda: now[0])
         try:
             job_id = store.submit(_request())
@@ -251,7 +320,7 @@ class TestRetention:
 
     def test_zero_retention_keeps_jobs_forever(self):
         now = [1000.0]
-        store = JobStore(_StubSession(), workers=1,
+        store = JobStore(_StubSession(),
                          retention_seconds=0.0, clock=lambda: now[0])
         try:
             job_id = store.submit(_request())
@@ -270,7 +339,7 @@ class TestRetention:
             gate.wait(timeout=10.0)
             return {}
 
-        store = JobStore(_StubSession(behaviour), workers=1,
+        store = JobStore(_StubSession(behaviour),
                          retention_seconds=1.0, clock=lambda: now[0])
         try:
             job_id = store.submit(_request())
@@ -308,7 +377,7 @@ class TestEvents:
             progress("late event")
             return {}
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         try:
             job_id = store.submit(_request())
             results = []
@@ -349,7 +418,7 @@ class TestConcurrencyStress:
             state: _metrics.JOBS_TOTAL.value(state=state)
             for state in ("queued", "running", "succeeded", "cancelled")
         }
-        store = JobStore(session, workers=4)
+        store = JobStore(session)
         ids = []
         ids_lock = threading.Lock()
         errors = []
@@ -368,11 +437,19 @@ class TestConcurrencyStress:
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
+        # Switch threads often, so the clients interleave with the worker's
+        # claim of each job rather than running whole loops in turn.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             total = clients * per_client
             assert len(set(ids)) == total
@@ -406,7 +483,7 @@ class TestShutdown:
             gate.wait(timeout=10.0)
             return {}
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         blocker = store.submit(_request())
         assert started.wait(timeout=10.0)
         queued = store.submit(_request())
@@ -428,7 +505,7 @@ class TestShutdown:
             progress("post-drain boundary")
             return {}
 
-        store = JobStore(_StubSession(behaviour), workers=1)
+        store = JobStore(_StubSession(behaviour))
         job_id = store.submit(_request())
         assert started.wait(timeout=10.0)
         store.shutdown(drain_seconds=0.1)
@@ -440,7 +517,7 @@ class TestShutdown:
         job_id = store.submit(_request())
         store.wait(job_id, timeout=10.0)
         summary = store.describe()
-        assert summary["workers"] == 2
+        assert "workers" not in summary
         assert summary["accepting"] is True
         assert summary["queue_depth"] == 0
         assert summary["jobs"].get("succeeded", 0) >= 1
@@ -449,7 +526,7 @@ class TestShutdown:
 class TestAuditLog:
     def test_audit_records_validate_and_cover_every_transition(self, tmp_path):
         path = tmp_path / "logs" / "audit.jsonl"
-        store = JobStore(_StubSession(), workers=1, audit_log=path)
+        store = JobStore(_StubSession(), audit_log=path)
         try:
             ok = store.submit(_request())
             store.wait(ok, timeout=10.0)
@@ -475,7 +552,7 @@ class TestAuditLog:
             raise ValueError("boom")
 
         path = tmp_path / "audit.jsonl"
-        store = JobStore(_StubSession(behaviour), workers=1, audit_log=path)
+        store = JobStore(_StubSession(behaviour), audit_log=path)
         try:
             job_id = store.submit(_request())
             store.wait(job_id, timeout=10.0)

@@ -291,7 +291,7 @@ class TestJobsExploreLineage:
             "knobs": {"staging": [1, 2]}, "epochs": 1,
             "batches_per_epoch": 1, "batch_size": 4, "max_groups": 8,
         }
-        store = JobStore(Session(), workers=1)
+        store = JobStore(Session())
         try:
             job_ids = []
             for run in ("first", "second"):

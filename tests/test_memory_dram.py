@@ -10,7 +10,8 @@ arithmetic is pinned down here.
 import pytest
 
 from repro.core.config import AcceleratorConfig, MemoryConfig
-from repro.energy import EnergyAccountant, EnergyPerAccess
+from repro.energy import EnergyAccountant
+from repro.energy.energy_model import DRAM_PJ_PER_BYTE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.traffic import MemoryTraffic
 
@@ -68,4 +69,4 @@ class TestTransferLatency:
 class TestTransferEnergy:
     def test_energy_is_pj_per_byte(self):
         energy = dram_energy_pj(MemoryTraffic(dram_bytes=1000))
-        assert energy == pytest.approx(1000 * EnergyPerAccess().dram_pj_per_byte)
+        assert energy == pytest.approx(1000 * DRAM_PJ_PER_BYTE)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import MemoryConfig
-from repro.energy import EnergyAccountant, EnergyPerAccess
+from repro.energy import EnergyAccountant
+from repro.energy.energy_model import DRAM_PJ_PER_BYTE
 from repro.memory.compression import RUN_BYTES, CompressingDMA
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.traffic import MemoryTraffic, TrafficCounter
@@ -19,7 +20,7 @@ class TestDRAM:
         traffic = MemoryTraffic(dram_bytes=1000) + MemoryTraffic(dram_bytes=500)
         assert traffic.dram_bytes == 1500
         energy = EnergyAccountant().baseline_energy(0, traffic).dram_pj
-        assert energy == pytest.approx(1500 * EnergyPerAccess().dram_pj_per_byte)
+        assert energy == pytest.approx(1500 * DRAM_PJ_PER_BYTE)
 
     def test_latency_scales_with_bytes(self):
         hierarchy = MemoryHierarchy.table2()
