@@ -57,13 +57,7 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     The CLI subcommands are thin clients of this layer.
 """
 
-from repro._version import __version__
-from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
-from repro.core.accelerator import Accelerator
-from repro.engine import SimulationEngine
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.runner import ExperimentRunner, simulate_model_training
-from repro.api.session import Session
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AcceleratorConfig",
@@ -77,3 +71,13 @@ __all__ = [
     "simulate_model_training",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro._version": ("__version__",),
+    "repro.core.config": ("AcceleratorConfig", "PEConfig", "TileConfig"),
+    "repro.core.accelerator": ("Accelerator",),
+    "repro.engine.engine": ("SimulationEngine",),
+    "repro.memory.hierarchy": ("MemoryHierarchy",),
+    "repro.simulation.runner": ("ExperimentRunner", "simulate_model_training"),
+    "repro.api.session": ("Session",),
+})

@@ -1,25 +1,6 @@
 """Result aggregation and report formatting for the benchmark harness."""
 
-from repro.analysis.frontier import (
-    Objective,
-    best_per_objective,
-    dominates,
-    pareto_frontier,
-)
-from repro.analysis.metrics import geometric_mean
-from repro.analysis.roofline import (
-    RooflinePoint,
-    RooflineReport,
-    format_roofline_report,
-    operational_intensity,
-    roofline_report,
-)
-from repro.analysis.reporting import (
-    ReportTable,
-    format_engine_stats,
-    format_series,
-    format_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "geometric_mean",
@@ -37,3 +18,17 @@ __all__ = [
     "format_roofline_report",
     "operational_intensity",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.frontier": (
+        "Objective", "best_per_objective", "dominates", "pareto_frontier",
+    ),
+    "repro.analysis.metrics": ("geometric_mean",),
+    "repro.analysis.roofline": (
+        "RooflinePoint", "RooflineReport", "format_roofline_report",
+        "operational_intensity", "roofline_report",
+    ),
+    "repro.analysis.reporting": (
+        "ReportTable", "format_engine_stats", "format_series", "format_table",
+    ),
+})

@@ -18,24 +18,7 @@ The CLI subcommands are thin clients of this layer: they build a
 request, call :meth:`Session.submit` and format the result.
 """
 
-from repro.api.schema import (
-    SCHEMA_VERSION,
-    ApiResult,
-    ExploreRequest,
-    ExploreResult,
-    RooflineRequest,
-    RooflineResult,
-    ScaleRequest,
-    ScaleResult,
-    SchemaError,
-    SimulateRequest,
-    SimulateResult,
-    SweepRequest,
-    SweepResult,
-    request_from_dict,
-)
-from repro.api.session import Session
-from repro.api.service import ApiServer, create_server, serve
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -57,3 +40,14 @@ __all__ = [
     "create_server",
     "serve",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.schema": (
+        "SCHEMA_VERSION", "ApiResult", "ExploreRequest", "ExploreResult",
+        "RooflineRequest", "RooflineResult", "ScaleRequest", "ScaleResult",
+        "SchemaError", "SimulateRequest", "SimulateResult", "SweepRequest",
+        "SweepResult", "request_from_dict",
+    ),
+    "repro.api.session": ("Session",),
+    "repro.api.service": ("ApiServer", "create_server", "serve"),
+})

@@ -65,6 +65,7 @@ logs before the process exits.
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import threading
@@ -110,6 +111,21 @@ DEFAULT_MAX_BODY_MB = 8.0
 
 #: Seconds between SSE keep-alive comments on an idle event stream.
 SSE_KEEPALIVE_SECONDS = 15.0
+
+
+def body_limit_bytes(max_body_mb: float) -> int:
+    """The request-body cap in bytes for a ``max_body_mb`` setting.
+
+    Raises :class:`ValueError` naming ``max_body_mb`` unless it is a
+    finite number of MiB worth at least one byte.
+    """
+    value = float(max_body_mb)
+    if not math.isfinite(value) or value * 1024 * 1024 < 1:
+        raise ValueError(
+            f"max_body_mb must be a finite number of MiB worth at least "
+            f"one byte, got {max_body_mb!r}"
+        )
+    return int(value * 1024 * 1024)
 
 
 class _ShutdownRequest(Exception):
@@ -381,11 +397,11 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
         if request is None:
             return
         try:
-            job_id = self.server.jobs.submit(request)
+            record = self.server.jobs.submit(request)
         except JobStoreClosed as exc:
             self._send_json(503, {"error": str(exc)})
             return
-        self._send_json(202, self.server.jobs.get(job_id).to_dict())
+        self._send_json(202, record.to_dict())
 
     def _handle_jobs_list(self, query: Dict) -> None:
         state = (query.get("state") or [None])[0]
@@ -493,15 +509,15 @@ class ApiServer(ThreadingHTTPServer):
         audit_log: Optional[Union[str, Path]] = None,
         max_body_mb: float = DEFAULT_MAX_BODY_MB,
     ):
+        # Checked before binding, so a rejected value leaks no socket.
+        max_body_bytes = body_limit_bytes(max_body_mb)
         super().__init__(address, ApiRequestHandler)
         self.session = session
         #: Directory client-supplied explore ``study_dir`` paths must
         #: resolve under; ``None`` refuses them entirely.
         self.study_root = Path(study_root).resolve() if study_root else None
         #: Request bodies above this many bytes are refused with 413.
-        self.max_body_bytes = int(float(max_body_mb) * 1024 * 1024)
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_mb must be positive, got {max_body_mb}")
+        self.max_body_bytes = max_body_bytes
         #: The asynchronous job layer every ``/v1/jobs*`` route drives.
         self.jobs = JobStore(
             session,

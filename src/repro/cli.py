@@ -176,6 +176,17 @@ def _add_engine_arguments(
     command.add_argument("--seed", type=int, default=seed_default, help=seed_help)
 
 
+def _max_body_mb(text: str) -> float:
+    """``--max-body-mb``, refused at parse time by the server's own rule."""
+    from repro.api.service import body_limit_bytes
+
+    try:
+        body_limit_bytes(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -391,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
              "state transition to this file (validated by "
              "repro.telemetry.schema); off by default")
     serve.add_argument(
-        "--max-body-mb", type=float, default=8.0,
+        "--max-body-mb", type=_max_body_mb, default=8.0,
         help="largest accepted request body in MiB; bigger bodies are "
              "refused with HTTP 413 (default: 8)")
     serve.add_argument(

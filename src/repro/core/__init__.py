@@ -19,13 +19,7 @@ and 3.1-3.6 of the paper:
 * :mod:`repro.core.config` — Table 2 default configurations.
 """
 
-from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
-from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import HardwareScheduler, Schedule, BatchScheduler
-from repro.core.pe import BaselinePE, TensorDashPE
-from repro.core.accelerator import Accelerator
-from repro.core.backside import PreScheduler, ScheduledTensor
-from repro.core.dataflow import TileWorkPartitioner, MultiTileResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AcceleratorConfig",
@@ -43,3 +37,15 @@ __all__ = [
     "TileWorkPartitioner",
     "MultiTileResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("AcceleratorConfig", "PEConfig", "TileConfig"),
+    "repro.core.interconnect": ("ConnectivityPattern",),
+    "repro.core.scheduler": (
+        "HardwareScheduler", "Schedule", "BatchScheduler",
+    ),
+    "repro.core.pe": ("BaselinePE", "TensorDashPE"),
+    "repro.core.accelerator": ("Accelerator",),
+    "repro.core.backside": ("PreScheduler", "ScheduledTensor"),
+    "repro.core.dataflow": ("TileWorkPartitioner", "MultiTileResult"),
+})

@@ -1,8 +1,6 @@
 """Area, power and energy models for the baseline and TensorDash designs."""
 
-from repro.energy.area_model import AreaModel, AreaBreakdown
-from repro.energy.power_model import PowerModel, PowerBreakdown
-from repro.energy.accounting import EnergyAccountant, EnergyBreakdown, EfficiencyReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AreaModel",
@@ -13,3 +11,11 @@ __all__ = [
     "EnergyBreakdown",
     "EfficiencyReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.energy.area_model": ("AreaModel", "AreaBreakdown"),
+    "repro.energy.power_model": ("PowerModel", "PowerBreakdown"),
+    "repro.energy.accounting": (
+        "EnergyAccountant", "EnergyBreakdown", "EfficiencyReport",
+    ),
+})

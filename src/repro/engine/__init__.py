@@ -18,15 +18,7 @@ There is no multi-process layer: each request, a study included, runs
 in one process on one engine.
 """
 
-from repro.engine.cache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    compute_fingerprint,
-    layer_key,
-    trace_fingerprint,
-)
-from repro.engine.engine import EngineStats, SimulationEngine
-from repro.engine.options import EngineOptions, resolve_engine_options
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ResultCache",
@@ -39,3 +31,12 @@ __all__ = [
     "EngineOptions",
     "resolve_engine_options",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.cache": (
+        "CACHE_SCHEMA_VERSION", "ResultCache", "compute_fingerprint",
+        "layer_key", "trace_fingerprint",
+    ),
+    "repro.engine.engine": ("EngineStats", "SimulationEngine"),
+    "repro.engine.options": ("EngineOptions", "resolve_engine_options"),
+})

@@ -29,32 +29,7 @@ Everything is surfaced on the command line as ``repro explore
 same machinery.
 """
 
-from repro.explore.runner import (
-    PointResult,
-    StudyResult,
-    StudyResumeError,
-    StudyRunner,
-    run_study,
-)
-from repro.explore.scenarios import apply_scenario, parse_scenario
-from repro.explore.spec import (
-    DEFAULT_OBJECTIVES,
-    KNOBS,
-    METRIC_ORIENTATIONS,
-    SCALE_KNOBS,
-    DesignPoint,
-    StudySpec,
-    parse_objectives,
-)
-from repro.explore.report import (
-    format_frontier_table,
-    format_points_table,
-    format_scaling_section,
-    format_study_report,
-    study_to_csv,
-    study_to_dict,
-    study_to_json,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "StudySpec",
@@ -79,3 +54,20 @@ __all__ = [
     "study_to_json",
     "study_to_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.explore.runner": (
+        "PointResult", "StudyResult", "StudyResumeError", "StudyRunner",
+        "run_study",
+    ),
+    "repro.explore.scenarios": ("apply_scenario", "parse_scenario"),
+    "repro.explore.spec": (
+        "DEFAULT_OBJECTIVES", "KNOBS", "METRIC_ORIENTATIONS", "SCALE_KNOBS",
+        "DesignPoint", "StudySpec", "parse_objectives",
+    ),
+    "repro.explore.report": (
+        "format_frontier_table", "format_points_table",
+        "format_scaling_section", "format_study_report", "study_to_csv",
+        "study_to_dict", "study_to_json",
+    ),
+})

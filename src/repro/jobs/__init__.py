@@ -14,12 +14,7 @@ Jobs move ``queued -> running -> succeeded | failed | cancelled``;
 ``docs/jobs.md`` for the lifecycle walkthrough.
 """
 
-from repro.jobs.store import (
-    JobCancelled,
-    JobStore,
-    JobStoreClosed,
-    UnknownJob,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "JobCancelled",
@@ -27,3 +22,9 @@ __all__ = [
     "JobStoreClosed",
     "UnknownJob",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.jobs.store": (
+        "JobCancelled", "JobStore", "JobStoreClosed", "UnknownJob",
+    ),
+})

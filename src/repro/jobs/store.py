@@ -259,8 +259,12 @@ class JobStore:
     # ------------------------------------------------------------------
     # public API
 
-    def submit(self, request: _ApiModel) -> str:
-        """Queue ``request`` for execution; returns the new job id."""
+    def submit(self, request: _ApiModel) -> JobRecord:
+        """Queue ``request`` for execution; returns the job's ``queued`` record.
+
+        The record is the snapshot taken as the job was queued, so it
+        reads ``queued`` however soon the worker claims the job.
+        """
         kind = getattr(request, "kind", None)
         if kind not in REQUEST_TYPES:
             raise TypeError(
@@ -279,12 +283,8 @@ class JobStore:
             _metrics.JOBS_TOTAL.inc(state="queued")
             self._update_queue_gauge_locked()
             self._audit(job, "submitted", request=request.to_dict())
-            # Recorded last, because the event wakes the worker: the
-            # audit write releases the GIL, and a worker woken before it
-            # takes the lock the moment this block releases it, starting
-            # the job before the caller's next call can see it queued.
             self._record_event_locked(job, {"type": "state", "state": "queued"})
-        return job_id
+            return self._snapshot_locked(job)
 
     def get(self, job_id: str) -> JobRecord:
         """A point-in-time :class:`JobRecord` snapshot of one job."""

@@ -30,15 +30,7 @@ Everything is surfaced as ``repro diff`` (CLI), ``POST /v1/diff`` +
 ``regression-watch`` job.  See ``docs/lineage.md``.
 """
 
-from repro.lineage.snapshot import ManifestSnapshot, SnapshotError, SnapshotPoint
-from repro.lineage.diff import LineageDiff, MetricDelta, diff_snapshots
-from repro.lineage.bench import (
-    BENCH_SCHEMAS,
-    WatchedMetric,
-    diff_bench,
-    load_bench_side,
-    validate_bench_payload,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BENCH_SCHEMAS",
@@ -53,3 +45,14 @@ __all__ = [
     "load_bench_side",
     "validate_bench_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lineage.snapshot": (
+        "ManifestSnapshot", "SnapshotError", "SnapshotPoint",
+    ),
+    "repro.lineage.diff": ("LineageDiff", "MetricDelta", "diff_snapshots"),
+    "repro.lineage.bench": (
+        "BENCH_SCHEMAS", "WatchedMetric", "diff_bench", "load_bench_side",
+        "validate_bench_payload",
+    ),
+})

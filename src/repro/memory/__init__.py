@@ -2,9 +2,7 @@
 bandwidth/capacity performance model (:mod:`repro.memory.hierarchy`) the
 cycle simulator enforces."""
 
-from repro.memory.compression import CompressingDMA
-from repro.memory.traffic import TrafficCounter, MemoryTraffic
-from repro.memory.hierarchy import MemoryHierarchy, MemoryVerdict, bytes_per_cycle
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CompressingDMA",
@@ -14,3 +12,11 @@ __all__ = [
     "MemoryVerdict",
     "bytes_per_cycle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.compression": ("CompressingDMA",),
+    "repro.memory.traffic": ("TrafficCounter", "MemoryTraffic"),
+    "repro.memory.hierarchy": (
+        "MemoryHierarchy", "MemoryVerdict", "bytes_per_cycle",
+    ),
+})

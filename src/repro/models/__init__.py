@@ -12,21 +12,7 @@ connections (ResNet), concatenation (DenseNet/SqueezeNet), dropout
 (AlexNet/VGG) and gated linear units without ReLU (GCN).
 """
 
-from repro.models.alexnet import build_alexnet
-from repro.models.vgg import build_vgg16
-from repro.models.resnet import build_resnet50
-from repro.models.densenet import build_densenet121
-from repro.models.squeezenet import build_squeezenet
-from repro.models.img2txt import build_img2txt
-from repro.models.snli import build_snli
-from repro.models.gcn import build_gcn
-from repro.models.registry import (
-    ModelSpec,
-    MODEL_REGISTRY,
-    build_model,
-    build_dataset,
-    available_models,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "build_alexnet",
@@ -43,3 +29,18 @@ __all__ = [
     "build_dataset",
     "available_models",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.models.alexnet": ("build_alexnet",),
+    "repro.models.vgg": ("build_vgg16",),
+    "repro.models.resnet": ("build_resnet50",),
+    "repro.models.densenet": ("build_densenet121",),
+    "repro.models.squeezenet": ("build_squeezenet",),
+    "repro.models.img2txt": ("build_img2txt",),
+    "repro.models.snli": ("build_snli",),
+    "repro.models.gcn": ("build_gcn",),
+    "repro.models.registry": (
+        "ModelSpec", "MODEL_REGISTRY", "build_model", "build_dataset",
+        "available_models",
+    ),
+})

@@ -8,17 +8,10 @@ per-model series of Figs. 1 and 13-16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import importlib
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.models.alexnet import build_alexnet
-from repro.models.densenet import build_densenet121
-from repro.models.gcn import build_gcn
-from repro.models.img2txt import build_img2txt
-from repro.models.resnet import build_resnet50
-from repro.models.snli import build_snli
-from repro.models.squeezenet import build_squeezenet
-from repro.models.vgg import build_vgg16
 from repro.training.data import SyntheticImageDataset, SyntheticSequenceDataset
 
 
@@ -27,7 +20,9 @@ class ModelSpec:
     """One workload: model factory, dataset factory and optional pruning."""
 
     name: str
-    build: Callable[..., object]
+    #: Dotted path of the model factory, imported only when the model is
+    #: built: listing or loading a workload needs no ``repro.nn``.
+    build: str
     dataset: Callable[..., object]
     pruning: Optional[str] = None           # None, "dynamic_sparse" or "sparse_momentum"
     description: str = ""
@@ -48,65 +43,65 @@ def _sequence_dataset(num_classes: int, vocab: int = 512, length: int = 20, seed
 MODEL_REGISTRY: Dict[str, ModelSpec] = {
     "alexnet": ModelSpec(
         name="alexnet",
-        build=build_alexnet,
+        build="repro.models.alexnet.build_alexnet",
         dataset=_image_dataset,
         description="Scaled AlexNet, ImageNet-classification stand-in",
     ),
     "vgg16": ModelSpec(
         name="vgg16",
-        build=build_vgg16,
+        build="repro.models.vgg.build_vgg16",
         dataset=_image_dataset,
         description="Scaled VGG-16, ImageNet-classification stand-in",
     ),
     "resnet50": ModelSpec(
         name="resnet50",
-        build=build_resnet50,
+        build="repro.models.resnet.build_resnet50",
         dataset=_image_dataset,
         description="Scaled ResNet-50 (dense training)",
     ),
     "resnet50_DS90": ModelSpec(
         name="resnet50_DS90",
-        build=build_resnet50,
+        build="repro.models.resnet.build_resnet50",
         dataset=_image_dataset,
         pruning="dynamic_sparse",
         description="ResNet-50 trained with dynamic sparse reparameterization (90% target)",
     ),
     "resnet50_SM90": ModelSpec(
         name="resnet50_SM90",
-        build=build_resnet50,
+        build="repro.models.resnet.build_resnet50",
         dataset=_image_dataset,
         pruning="sparse_momentum",
         description="ResNet-50 trained with sparse momentum (90% target)",
     ),
     "densenet121": ModelSpec(
         name="densenet121",
-        build=build_densenet121,
+        build="repro.models.densenet.build_densenet121",
         dataset=_image_dataset,
         description="Scaled DenseNet-121 (BN between conv and ReLU)",
     ),
     "squeezenet": ModelSpec(
         name="squeezenet",
-        build=build_squeezenet,
+        build="repro.models.squeezenet.build_squeezenet",
         dataset=_image_dataset,
         description="Scaled SqueezeNet (fire modules)",
     ),
     "img2txt": ModelSpec(
         name="img2txt",
-        build=build_img2txt,
+        build="repro.models.img2txt.build_img2txt",
         dataset=lambda num_classes=128, seed=0: _image_dataset(num_classes=num_classes, seed=seed),
         description="Image-captioning stand-in (conv encoder + FC decoder)",
         num_classes=128,
     ),
     "snli": ModelSpec(
         name="snli",
-        build=build_snli,
+        build="repro.models.snli.build_snli",
         dataset=lambda num_classes=3, seed=0: _sequence_dataset(num_classes=3, seed=seed),
         description="SNLI natural-language-inference stand-in",
         num_classes=3,
     ),
     "gcn": ModelSpec(
         name="gcn",
-        build=build_gcn,
+        build="repro.models.gcn.build_gcn",
         dataset=lambda num_classes=512, seed=0: _sequence_dataset(num_classes=512, seed=seed),
         description="Gated convolutional language model (virtually no sparsity)",
         num_classes=512,
@@ -136,12 +131,14 @@ def build_model(name: str, seed: int = 0, **kwargs):
     spec = MODEL_REGISTRY.get(name)
     if spec is None:
         raise KeyError(f"unknown model {name!r}; known: {available_models()}")
+    module, _, function = spec.build.rpartition(".")
+    build = getattr(importlib.import_module(module), function)
     builder_kwargs = dict(kwargs)
     if spec.name in ("snli", "gcn"):
-        return spec.build(seed=seed, **builder_kwargs)
+        return build(seed=seed, **builder_kwargs)
     if spec.name == "img2txt":
-        return spec.build(vocab_size=spec.num_classes, seed=seed, **builder_kwargs)
-    return spec.build(num_classes=spec.num_classes, seed=seed, **builder_kwargs)
+        return build(vocab_size=spec.num_classes, seed=seed, **builder_kwargs)
+    return build(num_classes=spec.num_classes, seed=seed, **builder_kwargs)
 
 
 def build_dataset(name: str, seed: int = 0):
@@ -179,8 +176,8 @@ def trace_workload(
     scaling runs raise it to the device count so data-parallel shards
     stay balanced; everything else leaves it alone.
     """
-    # Imported lazily: repro.training imports this module's datasets, so a
-    # top-level import would be circular.
+    # Imported here: training needs repro.nn, which a request that loads
+    # a stored trace never runs.
     from repro.nn.optim import MomentumSGD
     from repro.training.trainer import Trainer, TrainingConfig
 

@@ -17,18 +17,7 @@ so that :mod:`repro.training.tracing` can snapshot them without re-running
 the math.
 """
 
-from repro.nn.module import Module, Parameter
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import ReLU
-from repro.nn.layers.normalization import BatchNorm2D
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
-from repro.nn.layers.shape import Flatten, Concat, Add
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.embedding import Embedding
-from repro.nn.model import Sequential, Graph
-from repro.nn.losses import CrossEntropyLoss, softmax
-from repro.nn.optim import SGD, MomentumSGD
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Module",
@@ -52,3 +41,18 @@ __all__ = [
     "SGD",
     "MomentumSGD",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.nn.module": ("Module", "Parameter"),
+    "repro.nn.layers.conv": ("Conv2D",),
+    "repro.nn.layers.linear": ("Linear",),
+    "repro.nn.layers.activation": ("ReLU",),
+    "repro.nn.layers.normalization": ("BatchNorm2D",),
+    "repro.nn.layers.pooling": ("MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"),
+    "repro.nn.layers.shape": ("Flatten", "Concat", "Add"),
+    "repro.nn.layers.dropout": ("Dropout",),
+    "repro.nn.layers.embedding": ("Embedding",),
+    "repro.nn.model": ("Sequential", "Graph"),
+    "repro.nn.losses": ("CrossEntropyLoss", "softmax"),
+    "repro.nn.optim": ("SGD", "MomentumSGD"),
+})

@@ -1,13 +1,6 @@
 """Layer implementations for the numpy training substrate."""
 
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import ReLU
-from repro.nn.layers.normalization import BatchNorm2D
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
-from repro.nn.layers.shape import Flatten, Concat, Add
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.embedding import Embedding
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Conv2D",
@@ -23,3 +16,14 @@ __all__ = [
     "Dropout",
     "Embedding",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.nn.layers.conv": ("Conv2D",),
+    "repro.nn.layers.linear": ("Linear",),
+    "repro.nn.layers.activation": ("ReLU",),
+    "repro.nn.layers.normalization": ("BatchNorm2D",),
+    "repro.nn.layers.pooling": ("MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"),
+    "repro.nn.layers.shape": ("Flatten", "Concat", "Add"),
+    "repro.nn.layers.dropout": ("Dropout",),
+    "repro.nn.layers.embedding": ("Embedding",),
+})

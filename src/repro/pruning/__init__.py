@@ -16,12 +16,16 @@ Both methods convert weights to zero during training, which TensorDash can
 exploit on top of the naturally occurring activation/gradient sparsity.
 """
 
-from repro.pruning.magnitude import MagnitudePruner
-from repro.pruning.dynamic_sparse import DynamicSparseReparameterization
-from repro.pruning.sparse_momentum import SparseMomentumPruner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MagnitudePruner",
     "DynamicSparseReparameterization",
     "SparseMomentumPruner",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pruning.magnitude": ("MagnitudePruner",),
+    "repro.pruning.dynamic_sparse": ("DynamicSparseReparameterization",),
+    "repro.pruning.sparse_momentum": ("SparseMomentumPruner",),
+})

@@ -19,25 +19,7 @@ the ``num_devices`` / ``partition`` / ``link_gbps`` knobs of
 assumptions and a worked 1-to-8-device example.
 """
 
-from repro.scale.interconnect import (
-    DEFAULT_HOP_LATENCY_CYCLES,
-    DEFAULT_LINK_GBPS,
-    Interconnect,
-)
-from repro.scale.partition import (
-    PARTITIONS,
-    check_partition,
-    partition_data,
-    partition_pipeline,
-    stage_boundary_bytes,
-    weight_gradient_bytes,
-)
-from repro.scale.report import (
-    DeviceResult,
-    ScalingReport,
-    format_scaling_report,
-)
-from repro.scale.runner import ScaleRunner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_LINK_GBPS",
@@ -54,3 +36,17 @@ __all__ = [
     "format_scaling_report",
     "ScaleRunner",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scale.interconnect": (
+        "DEFAULT_HOP_LATENCY_CYCLES", "DEFAULT_LINK_GBPS", "Interconnect",
+    ),
+    "repro.scale.partition": (
+        "PARTITIONS", "check_partition", "partition_data",
+        "partition_pipeline", "stage_boundary_bytes", "weight_gradient_bytes",
+    ),
+    "repro.scale.report": (
+        "DeviceResult", "ScalingReport", "format_scaling_report",
+    ),
+    "repro.scale.runner": ("ScaleRunner",),
+})

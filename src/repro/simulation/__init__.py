@@ -1,9 +1,6 @@
 """Simulation layer: operand-stream extraction, cycle simulation and runners."""
 
-from repro.simulation.streams import operation_streams
-from repro.simulation.cycle_sim import LayerSimulator, LayerResult
-from repro.simulation.inference import FullyConnectedInference, conv_activation_groups
-from repro.simulation.runner import ExperimentRunner, ModelResult, simulate_model_training
+from repro._lazy import lazy_exports
 
 __all__ = [
     "operation_streams",
@@ -15,3 +12,14 @@ __all__ = [
     "ModelResult",
     "simulate_model_training",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.streams": ("operation_streams",),
+    "repro.simulation.cycle_sim": ("LayerSimulator", "LayerResult"),
+    "repro.simulation.inference": (
+        "FullyConnectedInference", "conv_activation_groups",
+    ),
+    "repro.simulation.runner": (
+        "ExperimentRunner", "ModelResult", "simulate_model_training",
+    ),
+})

@@ -23,15 +23,7 @@ self/total times — the ``repro trace`` subcommand.
 See ``docs/observability.md`` for the span model and metrics catalogue.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
-from repro.telemetry.tracing import Span, Tracer, configure, get_tracer, traced
-from repro.telemetry.schema import TelemetryRecordError, validate_record
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -47,3 +39,13 @@ __all__ = [
     "traced",
     "validate_record",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
+    ),
+    "repro.telemetry.tracing": (
+        "Span", "Tracer", "configure", "get_tracer", "traced",
+    ),
+    "repro.telemetry.schema": ("TelemetryRecordError", "validate_record"),
+})

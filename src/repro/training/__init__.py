@@ -1,12 +1,6 @@
 """Training loop, synthetic datasets and operand-trace collection."""
 
-from repro.training.data import (
-    SyntheticImageDataset,
-    SyntheticSequenceDataset,
-    SyntheticPairDataset,
-)
-from repro.training.tracing import LayerTrace, EpochTrace, TrainingTrace, TraceCollector
-from repro.training.trainer import Trainer, TrainingConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SyntheticImageDataset",
@@ -19,3 +13,14 @@ __all__ = [
     "Trainer",
     "TrainingConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.training.data": (
+        "SyntheticImageDataset", "SyntheticSequenceDataset",
+        "SyntheticPairDataset",
+    ),
+    "repro.training.tracing": (
+        "LayerTrace", "EpochTrace", "TrainingTrace", "TraceCollector",
+    ),
+    "repro.training.trainer": ("Trainer", "TrainingConfig"),
+})

@@ -11,13 +11,12 @@ scheduler's behaviour depends on) plus sparsity summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.module import Module
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 @dataclass
@@ -124,6 +123,9 @@ class TraceCollector:
 
     def collect(self, model: Module, epoch: int) -> EpochTrace:
         """Snapshot all traceable layers after a forward/backward pass."""
+        # Imported here so that loading a stored trace needs no repro.nn.
+        from repro.nn.layers.conv import Conv2D
+
         trace = EpochTrace(epoch=epoch)
         for layer in model.traceable_modules():
             operands = layer.trace_operands()
@@ -134,9 +136,6 @@ class TraceCollector:
             if isinstance(layer, Conv2D):
                 layer_type = "conv"
                 kernel, stride, padding = layer.kernel_size, layer.stride, layer.padding
-            elif isinstance(layer, Linear):
-                layer_type = "fc"
-                kernel, stride, padding = 1, 1, 0
             else:
                 layer_type = "fc"
                 kernel, stride, padding = 1, 1, 0

@@ -169,7 +169,8 @@ class TestServe:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=60)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_unknown_path_returns_404_with_routes(self, server_url):
         status, payload = _post(server_url + "/v1/teleport", SIMULATE_BODY)

@@ -24,7 +24,7 @@ import pytest
 
 import repro.api.session as session_module
 from repro.api.schema import JobRecord, JobResult
-from repro.api.service import create_server
+from repro.api.service import ApiServer, create_server
 from repro.api.session import Session
 from repro.cli import main
 from repro.jobs import UnknownJob
@@ -388,9 +388,23 @@ class TestHttpSemantics:
             status, payload, _ = _request(f"{base}/v1/jobs/{job_id}/result")
             assert status == 404
             assert job_id in payload["error"]
-            monkeypatch.setattr(server.jobs, "get", evicted)
-            status, payload, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
-            assert status == 404
+        finally:
+            server.shutdown_gracefully(drain_seconds=5.0)
+            thread.join(timeout=5.0)
+
+    def test_submit_answers_the_state_it_queued(self, monkeypatch):
+        """The 202 body is the record ``submit`` took while queueing the
+        job: a job that finishes before any later store call of the
+        handler still answers ``queued``."""
+        server, thread, base = _start(session=Session())
+        store = server.jobs
+        monkeypatch.setattr(
+            store, "get", lambda job_id: store.wait(job_id, timeout=120))
+        try:
+            status, record, _ = _request(base + "/v1/jobs", "POST", SIMULATE)
+            assert status == 202
+            assert record["state"] == "queued"
+            assert store.wait(record["job_id"], timeout=120).state == "succeeded"
         finally:
             server.shutdown_gracefully(drain_seconds=5.0)
             thread.join(timeout=5.0)
@@ -417,9 +431,19 @@ class TestHttpSemantics:
         assert status == 400
         assert payload["field"] == "since"
 
-    def test_invalid_max_body_mb_is_rejected(self):
-        with pytest.raises(ValueError, match="max_body_mb"):
-            create_server(port=0, session=Session(), max_body_mb=0.0)
+    def test_invalid_max_body_mb_is_rejected(self, monkeypatch):
+        """Refused before the socket is bound, so none is leaked, and at
+        parse time on the command line."""
+        binds = []
+        monkeypatch.setattr(
+            ApiServer, "server_bind", lambda self: binds.append(self))
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_body_mb"):
+                create_server(port=0, session=Session(), max_body_mb=value)
+        assert binds == []
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--port", "0", "--max-body-mb", "inf"])
+        assert exit_.value.code == 2
 
     def test_bind_failure_surfaces_the_oserror(self, service):
         # socketserver calls server_close before __init__ finishes when

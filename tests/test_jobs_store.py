@@ -63,8 +63,10 @@ def store():
 
 class TestLifecycle:
     def test_submit_runs_and_succeeds(self, store):
-        job_id = store.submit(_request())
-        record = store.wait(job_id, timeout=10.0)
+        submitted = store.submit(_request())
+        assert isinstance(submitted, JobRecord)
+        assert submitted.state == "queued"
+        record = store.wait(submitted.job_id, timeout=10.0)
         assert isinstance(record, JobRecord)
         assert record.state == "succeeded"
         assert record.request_kind == "simulate"
@@ -74,7 +76,7 @@ class TestLifecycle:
         assert record.request["model"] == "snli"
 
     def test_event_sequence_is_ordered_and_complete(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         events, state = store.events_after(job_id, 0)
         assert state == "succeeded"
@@ -87,7 +89,7 @@ class TestLifecycle:
         ]
 
     def test_result_returns_the_session_payload(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         result = store.result(job_id)
         assert isinstance(result, JobResult)
@@ -105,7 +107,7 @@ class TestLifecycle:
 
         store = JobStore(_StubSession(behaviour))
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             with pytest.raises(ValueError, match="terminal"):
                 store.result(job_id)
         finally:
@@ -118,7 +120,7 @@ class TestLifecycle:
 
         store = JobStore(_StubSession(behaviour))
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             record = store.wait(job_id, timeout=10.0)
             assert record.state == "failed"
             assert record.error == "RuntimeError: engine exploded"
@@ -171,9 +173,9 @@ class TestOneWorker:
         session = _StubSession(behaviour)
         store = JobStore(session)
         try:
-            blocker = store.submit(_request("resnet50"))
+            blocker = store.submit(_request("resnet50")).job_id
             assert started.wait(timeout=10.0)
-            behind = store.submit(_request())
+            behind = store.submit(_request()).job_id
             # Time for another thread, were there one, to claim the job.
             time.sleep(0.2)
             record = store.get(behind)
@@ -203,7 +205,7 @@ class TestOneWorker:
             store.submit(_request("resnet50"))
             assert started.wait(timeout=10.0)
             models = ["alexnet", "snli", "densenet121", "squeezenet"]
-            job_ids = [store.submit(_request(model)) for model in models]
+            job_ids = [store.submit(_request(model)).job_id for model in models]
             gate.set()
             for job_id in job_ids:
                 assert store.wait(job_id, timeout=10.0).state == "succeeded"
@@ -226,9 +228,9 @@ class TestCancellation:
         session = _StubSession(behaviour)
         store = JobStore(session)
         try:
-            blocker = store.submit(_request())
+            blocker = store.submit(_request()).job_id
             assert started.wait(timeout=10.0)
-            queued = store.submit(_request())
+            queued = store.submit(_request()).job_id
             record = store.cancel(queued)
             assert record.state == "cancelled"
             gate.set()
@@ -254,7 +256,7 @@ class TestCancellation:
 
         store = JobStore(_StubSession(behaviour))
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             assert reached.wait(timeout=10.0)
             record = store.cancel(job_id)
             assert record.state == "running"
@@ -281,7 +283,7 @@ class TestCancellation:
 
         store = JobStore(_StubSession(behaviour))
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             assert reached.wait(timeout=10.0)
             store.cancel(job_id)
             cancelled.set()
@@ -294,7 +296,7 @@ class TestCancellation:
             store.shutdown(drain_seconds=2.0)
 
     def test_cancel_finished_job_is_a_no_op(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         record = store.cancel(job_id)
         assert record.state == "succeeded"
@@ -307,7 +309,7 @@ class TestRetention:
         store = JobStore(_StubSession(),
                          retention_seconds=60.0, clock=lambda: now[0])
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             store.wait(job_id, timeout=10.0)
             now[0] += 59.0
             assert store.get(job_id).state == "succeeded"
@@ -323,7 +325,7 @@ class TestRetention:
         store = JobStore(_StubSession(),
                          retention_seconds=0.0, clock=lambda: now[0])
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             store.wait(job_id, timeout=10.0)
             now[0] += 1e9
             assert store.purge() == 0
@@ -342,7 +344,7 @@ class TestRetention:
         store = JobStore(_StubSession(behaviour),
                          retention_seconds=1.0, clock=lambda: now[0])
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             now[0] += 1e6
             assert store.purge() == 0
             assert store.get(job_id).state in ("queued", "running")
@@ -353,7 +355,7 @@ class TestRetention:
 
 class TestEvents:
     def test_events_after_filters_by_sequence(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         all_events, _ = store.events_after(job_id, 0)
         tail, state = store.events_after(job_id, all_events[1]["seq"])
@@ -363,7 +365,7 @@ class TestEvents:
         ]
 
     def test_wait_events_returns_immediately_when_terminal(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         events, state = store.wait_events(job_id, 10 ** 6, timeout=0.05)
         assert events == []
@@ -379,7 +381,7 @@ class TestEvents:
 
         store = JobStore(_StubSession(behaviour))
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             results = []
 
             def waiter():
@@ -426,7 +428,7 @@ class TestConcurrencyStress:
         def client(index):
             try:
                 for i in range(per_client):
-                    job_id = store.submit(_request())
+                    job_id = store.submit(_request()).job_id
                     with ids_lock:
                         ids.append(job_id)
                     if i % 3 == 2:
@@ -484,9 +486,9 @@ class TestShutdown:
             return {}
 
         store = JobStore(_StubSession(behaviour))
-        blocker = store.submit(_request())
+        blocker = store.submit(_request()).job_id
         assert started.wait(timeout=10.0)
-        queued = store.submit(_request())
+        queued = store.submit(_request()).job_id
         gate.set()
         store.shutdown(drain_seconds=5.0)
         assert store.get(queued).state == "cancelled"
@@ -506,7 +508,7 @@ class TestShutdown:
             return {}
 
         store = JobStore(_StubSession(behaviour))
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         assert started.wait(timeout=10.0)
         store.shutdown(drain_seconds=0.1)
         assert store.get(job_id).cancel_requested
@@ -514,7 +516,7 @@ class TestShutdown:
         assert store.wait(job_id, timeout=10.0).state == "cancelled"
 
     def test_describe_reports_the_store_shape(self, store):
-        job_id = store.submit(_request())
+        job_id = store.submit(_request()).job_id
         store.wait(job_id, timeout=10.0)
         summary = store.describe()
         assert "workers" not in summary
@@ -528,9 +530,9 @@ class TestAuditLog:
         path = tmp_path / "logs" / "audit.jsonl"
         store = JobStore(_StubSession(), audit_log=path)
         try:
-            ok = store.submit(_request())
+            ok = store.submit(_request()).job_id
             store.wait(ok, timeout=10.0)
-            gone = store.submit(_request())
+            gone = store.submit(_request()).job_id
             store.wait(gone, timeout=10.0)
         finally:
             store.shutdown(drain_seconds=2.0)
@@ -554,7 +556,7 @@ class TestAuditLog:
         path = tmp_path / "audit.jsonl"
         store = JobStore(_StubSession(behaviour), audit_log=path)
         try:
-            job_id = store.submit(_request())
+            job_id = store.submit(_request()).job_id
             store.wait(job_id, timeout=10.0)
         finally:
             store.shutdown(drain_seconds=2.0)

@@ -298,7 +298,7 @@ class TestJobsExploreLineage:
                 request = ExploreRequest(
                     spec=spec, study_dir=str(tmp_path / run)
                 )
-                job_ids.append(store.submit(request))
+                job_ids.append(store.submit(request).job_id)
             for job_id in job_ids:
                 record = store.wait(job_id, timeout=300)
                 assert record.state == "succeeded", record.error

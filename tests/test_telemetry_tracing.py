@@ -32,13 +32,20 @@ def _isolated_global_tracer():
     configure(None)
 
 
+@pytest.fixture
+def tracer(tmp_path):
+    """An enabled tracer writing under ``tmp_path``, closed after the test."""
+    tracer = Tracer(tmp_path)
+    yield tracer
+    tracer.close()
+
+
 def read_records(directory):
     return [record for _, _, record in iter_records(directory)]
 
 
 class TestSpans:
-    def test_nested_spans_share_trace_and_link_parents(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_nested_spans_share_trace_and_link_parents(self, tmp_path, tracer):
         with tracer.span("outer", model="snli") as outer:
             with tracer.span("inner") as inner:
                 assert inner.trace_id == outer.trace_id
@@ -50,8 +57,7 @@ class TestSpans:
         assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
         assert by_name["outer"]["attributes"] == {"model": "snli"}
 
-    def test_sibling_roots_get_distinct_traces(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_sibling_roots_get_distinct_traces(self, tmp_path, tracer):
         with tracer.span("first"):
             pass
         with tracer.span("second"):
@@ -60,15 +66,15 @@ class TestSpans:
         assert first["trace_id"] != second["trace_id"]
         assert first["span_id"] != second["span_id"]
 
-    def test_set_merges_attributes_and_drops_none(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_set_merges_attributes_and_drops_none(self, tmp_path, tracer):
         with tracer.span("op", keep=1, skip=None) as span:
             span.set(layers=4, absent=None)
         (record,) = read_records(tmp_path)
         assert record["attributes"] == {"keep": 1, "layers": 4}
 
-    def test_exception_records_error_attribute_and_propagates(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_exception_records_error_attribute_and_propagates(
+        self, tmp_path, tracer
+    ):
         with pytest.raises(ValueError, match="boom"):
             with tracer.span("faulty"):
                 raise ValueError("boom")
@@ -77,8 +83,7 @@ class TestSpans:
         assert record["duration_s"] >= 0.0
         assert tracer.current_span() is None
 
-    def test_threads_do_not_cross_link(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_threads_do_not_cross_link(self, tmp_path, tracer):
         seen = {}
 
         def worker(label):
@@ -100,8 +105,7 @@ class TestSpans:
             assert parent_id is None
         assert len({trace for trace, _ in seen.values()}) == 4
 
-    def test_every_emitted_record_is_schema_valid(self, tmp_path):
-        tracer = Tracer(tmp_path)
+    def test_every_emitted_record_is_schema_valid(self, tmp_path, tracer):
         with tracer.span("outer", model="snli"):
             with tracer.span("inner"):
                 pass
@@ -122,11 +126,10 @@ class TestDisabledTracer:
         assert not tracer.enabled
         assert tracer.spans_emitted == 0
 
-    def test_describe_reports_status(self, tmp_path):
+    def test_describe_reports_status(self, tmp_path, tracer):
         assert Tracer(None).describe() == {
             "enabled": False, "dir": None, "spans_emitted": 0,
         }
-        tracer = Tracer(tmp_path)
         with tracer.span("op"):
             pass
         description = tracer.describe()
@@ -172,6 +175,7 @@ class TestJsonlWriter:
         writer = JsonlWriter(tmp_path, max_bytes=200, max_files=3)
         for index in range(40):
             writer.write({"type": "filler", "index": index, "pad": "x" * 40})
+        writer.close()
         segments = sorted(tmp_path.glob("events-*.jsonl"))
         assert 1 < len(segments) <= 3
         # Numbering keeps ascending: the earliest segments were pruned.
@@ -180,10 +184,13 @@ class TestJsonlWriter:
             assert segment.stat().st_size <= 200 + 100
 
     def test_restart_resumes_highest_segment(self, tmp_path):
-        JsonlWriter(tmp_path).write({"type": "x", "n": 1})
+        first = JsonlWriter(tmp_path)
+        first.write({"type": "x", "n": 1})
+        first.close()
         writer = JsonlWriter(tmp_path)
         assert writer.current_path.name == "events-00001.jsonl"
         writer.write({"type": "x", "n": 2})
+        writer.close()
         lines = writer.current_path.read_text().splitlines()
         assert [json.loads(line)["n"] for line in lines] == [1, 2]
 
@@ -209,10 +216,9 @@ class TestSchema:
         with pytest.raises(TelemetryRecordError):
             validate_record([])
 
-    def test_metrics_records_validate(self, tmp_path):
+    def test_metrics_records_validate(self, tmp_path, tracer):
         from repro.telemetry import get_registry
 
-        tracer = Tracer(tmp_path)
         tracer.emit_metrics(get_registry())
         (record,) = read_records(tmp_path)
         assert validate_record(record) == "metrics"
