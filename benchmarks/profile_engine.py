@@ -6,6 +6,10 @@ prints the top functions by cumulative and self time, and times each
 layer individually so a regression is attributable to a specific layer
 shape rather than a single opaque scalar.
 
+It also times the training stage that precedes the engine in a cold
+request: each Fig. 13 model trained and traced at the CLI's default
+length (2 epochs x 2 batches of 8, seed 0), best of 3, plus their total.
+
 The same numbers are written to ``BENCH_profile.json`` at the repository
 root.  ``docs/performance.md`` explains how to read the report.
 
@@ -27,12 +31,17 @@ from benchmarks.common import get_trace, print_header
 
 from repro.analysis.reporting import format_table
 from repro.engine import SimulationEngine
+from repro.models.registry import PAPER_MODELS, trace_workload
 from repro.simulation.cycle_sim import traced_layers
 
 WORKLOAD = "resnet50"
 MAX_GROUPS = 512
 #: Functions shown per profile ordering.
 TOP_FUNCTIONS = 15
+#: The training length of a default ``repro simulate`` request.
+TRAINING = {"epochs": 2, "batches_per_epoch": 2, "batch_size": 8, "seed": 0}
+#: Each model's training time is the fastest of this many runs.
+TRAINING_REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_profile.json"
 
 
@@ -50,6 +59,25 @@ def _top_entries(stats: pstats.Stats, sort_key: str, count: int):
             "cumulative_seconds": round(cumtime, 4),
         })
     return entries
+
+
+def _training_block():
+    """Best-of-``TRAINING_REPEATS`` seconds to train and trace each Fig. 13
+    model at the default request's training length."""
+    models = {}
+    for name in PAPER_MODELS:
+        runs = []
+        for _ in range(TRAINING_REPEATS):
+            start = time.perf_counter()
+            trace_workload(name, **TRAINING)
+            runs.append(time.perf_counter() - start)
+        models[name] = round(min(runs), 4)
+    return {
+        **TRAINING,
+        "repeats": TRAINING_REPEATS,
+        "models": models,
+        "total_seconds": round(sum(models.values()), 4),
+    }
 
 
 def main() -> int:
@@ -107,6 +135,14 @@ def main() -> int:
          for row in per_layer],
     ))
 
+    training = _training_block()
+    print(format_table(
+        f"training and tracing per Fig. 13 model (best of "
+        f"{TRAINING_REPEATS}; total {training['total_seconds']}s)",
+        ["model", "seconds"],
+        [[name, seconds] for name, seconds in training["models"].items()],
+    ))
+
     payload = {
         "benchmark": "profile_engine",
         "workload": WORKLOAD,
@@ -116,6 +152,7 @@ def main() -> int:
         "hotspots_by_self_time": by_self,
         "hotspots_by_cumulative_time": by_cumulative,
         "per_layer_seconds": per_layer,
+        "training": training,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nWrote {OUTPUT}")

@@ -512,26 +512,33 @@ class ApiServer(ThreadingHTTPServer):
         # Checked before binding, so a rejected value leaks no socket.
         max_body_bytes = body_limit_bytes(max_body_mb)
         super().__init__(address, ApiRequestHandler)
-        self.session = session
-        #: Directory client-supplied explore ``study_dir`` paths must
-        #: resolve under; ``None`` refuses them entirely.
-        self.study_root = Path(study_root).resolve() if study_root else None
-        #: Request bodies above this many bytes are refused with 413.
-        self.max_body_bytes = max_body_bytes
-        #: The asynchronous job layer every ``/v1/jobs*`` route drives.
-        self.jobs = JobStore(
-            session,
-            retention_seconds=job_retention,
-            audit_log=audit_log,
-        )
-        #: Structured JSONL access log; ``None`` (the default) logs nothing.
-        self.access_log = str(access_log) if access_log else None
-        self._access_lock = threading.Lock()
-        self._access_handle = None
-        self._serving = False
-        if self.access_log:
-            Path(self.access_log).parent.mkdir(parents=True, exist_ok=True)
-            self._access_handle = open(self.access_log, "a", encoding="utf-8")
+        # From here on the socket is bound: a failure below (the job
+        # store's audit log or the access log cannot be opened) closes
+        # it, and the job thread if it started, before propagating.
+        try:
+            self.session = session
+            #: Directory client-supplied explore ``study_dir`` paths must
+            #: resolve under; ``None`` refuses them entirely.
+            self.study_root = Path(study_root).resolve() if study_root else None
+            #: Request bodies above this many bytes are refused with 413.
+            self.max_body_bytes = max_body_bytes
+            #: The asynchronous job layer every ``/v1/jobs*`` route drives.
+            self.jobs = JobStore(
+                session,
+                retention_seconds=job_retention,
+                audit_log=audit_log,
+            )
+            #: Structured JSONL access log; ``None`` (the default) logs nothing.
+            self.access_log = str(access_log) if access_log else None
+            self._access_lock = threading.Lock()
+            self._access_handle = None
+            self._serving = False
+            if self.access_log:
+                Path(self.access_log).parent.mkdir(parents=True, exist_ok=True)
+                self._access_handle = open(self.access_log, "a", encoding="utf-8")
+        except BaseException:
+            self.server_close()
+            raise
 
     def write_access_record(self, record: Dict) -> None:
         """Append one access-log line (no-op without ``access_log``)."""

@@ -101,6 +101,7 @@ WATCHED_METRICS: Dict[str, Tuple[WatchedMetric, ...]] = {
     ),
     "profile_engine": (
         WatchedMetric("whole_trace_seconds", False),
+        WatchedMetric("training.total_seconds", False),
     ),
     "scale": (
         WatchedMetric(
@@ -166,6 +167,7 @@ BENCH_SCHEMAS: Dict[str, Tuple[str, ...]] = {
         "whole_trace_seconds",
         "hotspots_by_self_time",
         "per_layer_seconds",
+        "training.total_seconds",
     ),
     "scale": (
         "single_device.overhead",

@@ -7,22 +7,17 @@ the three training convolutions (Table 1, Eqs. 4-9) and keeps the substrate
 fast enough to trace scaled-down models on a CPU.
 
 Tensors follow the ``(N, C, H, W)`` layout used throughout the paper.
+Internally, ``im2col`` and ``col2im`` work on a zero-padded
+``(N, H + 2p, W + 2p, C)`` buffer: in that layout each kernel tap's strided
+window is one copy (or one add) whose channel run is contiguous.  Both keep
+each element's arithmetic exactly as a direct loop over the taps computes
+it: ``im2col`` only copies, and ``col2im`` adds the taps in ``(ky, kx)``
+order starting from zero, so results are bit-identical to that loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial dimensions of an ``(N, C, H, W)`` tensor."""
-    if padding == 0:
-        return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-    )
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -36,25 +31,21 @@ def im2col(
     """Unfold an ``(N, C, H, W)`` tensor into convolution columns.
 
     Returns an array of shape ``(N, out_h, out_w, C * kernel_h * kernel_w)``
-    where each trailing row is the receptive field of one output position.
+    where each trailing row is the receptive field of one output position,
+    ordered ``(c, ky, kx)``.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    x_padded = pad_input(x, padding)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    padded[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
 
-    # Strided view: (N, C, out_h, out_w, kernel_h, kernel_w)
-    s = x_padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False,
-    )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n, out_h, out_w, c * kernel_h * kernel_w
-    )
-    return np.ascontiguousarray(cols)
+    cols = np.empty((n, out_h, out_w, c, kernel_h, kernel_w), dtype=x.dtype)
+    for ky in range(kernel_h):
+        rows = slice(ky, ky + stride * out_h, stride)
+        for kx in range(kernel_w):
+            cols[..., ky, kx] = padded[:, rows, kx : kx + stride * out_w : stride]
+    return cols.reshape(n, out_h, out_w, c * kernel_h * kernel_w)
 
 
 def col2im(
@@ -68,25 +59,20 @@ def col2im(
     """Fold convolution columns back onto an input-shaped tensor (scatter-add).
 
     ``cols`` has shape ``(N, out_h, out_w, C * kernel_h * kernel_w)`` and the
-    result has shape ``x_shape`` = ``(N, C, H, W)``.
+    result is a C-contiguous array of shape ``x_shape`` = ``(N, C, H, W)``.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    h_padded, w_padded = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
 
-    cols_reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    taps = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
     for ky in range(kernel_h):
-        y_max = ky + stride * out_h
+        rows = slice(ky, ky + stride * out_h, stride)
         for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            x_padded[:, :, ky:y_max:stride, kx:x_max:stride] += (
-                cols_reshaped[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
-            )
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+            padded[:, rows, kx : kx + stride * out_w : stride] += taps[..., ky, kx]
+    cropped = padded[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(cropped.transpose(0, 3, 1, 2))
 
 
 def conv2d_forward(

@@ -24,9 +24,14 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype, copy=False)
+        return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
-        return np.where(self._mask, grad_out, 0.0).astype(grad_out.dtype, copy=False)
+        # A bitwise select, not a multiply: ``grad * 0`` is -0.0 for a
+        # negative gradient, and masked positions must read +0.0.  The
+        # negated mask is 0 or -1, whose sign extension sets every bit.
+        bits = grad_out.view(f"i{grad_out.itemsize}")
+        keep = np.negative(self._mask.view(np.int8))
+        return np.bitwise_and(bits, keep, dtype=bits.dtype).view(grad_out.dtype)

@@ -54,12 +54,15 @@ class BatchNorm2D(Module):
             mean = self.running_mean
             var = self.running_var
 
+        # Each step is in place: the same expressions in the same order as
+        # ``gamma * ((x - mean) / std) + beta``, without a full-size
+        # temporary per operator.
         mean_b = mean.reshape(1, -1, 1, 1)
         std_b = np.sqrt(var + self.eps).reshape(1, -1, 1, 1)
-        x_hat = (x - mean_b) / std_b
-        out = self.gamma.data.reshape(1, -1, 1, 1) * x_hat + self.beta.data.reshape(
-            1, -1, 1, 1
-        )
+        x_hat = x - mean_b
+        x_hat /= std_b
+        out = self.gamma.data.reshape(1, -1, 1, 1) * x_hat
+        out += self.beta.data.reshape(1, -1, 1, 1)
         self._cache = (x_hat, std_b)
         return out.astype(np.float32, copy=False)
 
@@ -67,20 +70,22 @@ class BatchNorm2D(Module):
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         x_hat, std_b = self._cache
-        n, c, h, w = grad_out.shape
-        m = n * h * w
-
-        grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
+        scratch = grad_out * x_hat
+        grad_gamma = scratch.sum(axis=(0, 2, 3))
         grad_beta = grad_out.sum(axis=(0, 2, 3))
         self.gamma.accumulate_grad(grad_gamma)
         self.beta.accumulate_grad(grad_beta)
 
+        # grad_input = (grad_xhat - mean(grad_xhat)
+        #               - x_hat * mean(grad_xhat * x_hat)) / std,
+        # evaluated in that order in two full-size buffers.
         gamma_b = self.gamma.data.reshape(1, -1, 1, 1)
-        grad_xhat = grad_out * gamma_b
-        grad_input = (
-            grad_xhat
-            - grad_xhat.mean(axis=(0, 2, 3), keepdims=True)
-            - x_hat * (grad_xhat * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-        ) / std_b
-        # mean over (0,2,3) uses m elements per channel; formula already scaled
+        grad_input = grad_out * gamma_b
+        mean_grad = grad_input.mean(axis=(0, 2, 3), keepdims=True)
+        np.multiply(grad_input, x_hat, out=scratch)
+        mean_proj = scratch.mean(axis=(0, 2, 3), keepdims=True)
+        np.multiply(x_hat, mean_proj, out=scratch)
+        grad_input -= mean_grad
+        grad_input -= scratch
+        grad_input /= std_b
         return grad_input.astype(np.float32, copy=False)

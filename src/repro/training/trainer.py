@@ -9,6 +9,7 @@ after every optimiser step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Tuple
 
@@ -91,11 +92,28 @@ class Trainer:
         self.collector = TraceCollector(max_batch=self.config.trace_max_batch)
         self.epoch_stats: List[EpochStats] = []
 
-    def _train_step(self, inputs: np.ndarray, labels: np.ndarray) -> Tuple[float, float]:
-        """One forward/backward/update step; returns (loss, accuracy)."""
+    def _train_step(
+        self,
+        inputs: np.ndarray,
+        labels: np.ndarray,
+        model_name: str,
+        epoch: int,
+        step: int,
+    ) -> Tuple[float, float]:
+        """One forward/backward/update step; returns (loss, accuracy).
+
+        Raises :class:`FloatingPointError` on a non-finite loss, before
+        anything is updated: a diverged run's NaNs pass through ReLU, so
+        its traced masks would no longer mean operand sparsity.
+        """
         self.model.zero_grad()
         logits = self.model.forward(inputs)
         loss_value = self.loss.forward(logits, labels)
+        if not math.isfinite(loss_value):
+            raise FloatingPointError(
+                f"{model_name}: training diverged, loss is {loss_value} "
+                f"at epoch {epoch}, step {step}"
+            )
         grad = self.loss.backward()
         self.model.backward(grad)
         self.optimizer.step()
@@ -113,7 +131,9 @@ class Trainer:
             accuracies: List[float] = []
             for batch_index in range(self.config.batches_per_epoch):
                 inputs, labels = dataset.sample_batch(self.config.batch_size)
-                loss_value, accuracy = self._train_step(inputs, labels)
+                loss_value, accuracy = self._train_step(
+                    inputs, labels, model_name, epoch, step
+                )
                 losses.append(loss_value)
                 accuracies.append(accuracy)
                 if self.pruning_hook is not None:

@@ -6,10 +6,12 @@ simulate must show the second request served from the shared session's
 cache (the acceptance criterion of the batch-service design).
 """
 
+import gc
 import json
 import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -240,6 +242,25 @@ class TestAccessLog:
             assert record["response_bytes"] > 0
             assert record["client"]
         assert records[1]["request_bytes"] > 0
+
+    def test_unopenable_access_log_leaks_no_socket_and_no_job_thread(
+        self, tmp_path
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        before = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                create_server(port=0, session=Session(),
+                              access_log=blocker / "access.jsonl")
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        workers = [t for t in threading.enumerate()
+                   if t.name == "job-worker" and t not in before]
+        for worker in workers:
+            worker.join(timeout=5)
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_access_log_is_off_by_default(self, server_url, tmp_path):
         # The module fixture's server has no access_log: requests succeed

@@ -6,13 +6,73 @@ import pytest
 from repro.nn import functional as F
 
 
+def pad_input(x, padding):
+    """Zero-pad the two spatial dimensions of an ``(N, C, H, W)`` tensor."""
+    if padding == 0:
+        return x
+    return np.pad(
+        x,
+        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+        mode="constant",
+    )
+
+
+def reference_im2col(x, kernel_h, kernel_w, stride, padding):
+    """Gather each kernel tap's window from the zero-padded NCHW input.
+
+    The bit-exactness reference for :func:`F.im2col`: columns are ordered
+    ``(c, ky, kx)``, and every element is a copy of one input element or a
+    padding zero.
+    """
+    n, c, h, w = x.shape
+    out_h = F.conv_output_size(h, kernel_h, stride, padding)
+    out_w = F.conv_output_size(w, kernel_w, stride, padding)
+    x_padded = pad_input(x, padding)
+    cols = np.empty((n, out_h, out_w, c, kernel_h, kernel_w), dtype=x.dtype)
+    for ky in range(kernel_h):
+        for kx in range(kernel_w):
+            window = x_padded[
+                :, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride
+            ]
+            cols[:, :, :, :, ky, kx] = window.transpose(0, 2, 3, 1)
+    return cols.reshape(n, out_h, out_w, c * kernel_h * kernel_w)
+
+
+def reference_col2im(cols, x_shape, kernel_h, kernel_w, stride, padding):
+    """Scatter-add the columns onto a zero NCHW buffer, tap by tap.
+
+    The bit-exactness reference for :func:`F.col2im`: each input element
+    sums its taps' contributions in ``(ky, kx)`` order, starting from zero.
+    """
+    n, c, h, w = x_shape
+    out_h = F.conv_output_size(h, kernel_h, stride, padding)
+    out_w = F.conv_output_size(w, kernel_w, stride, padding)
+    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    taps = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    for ky in range(kernel_h):
+        for kx in range(kernel_w):
+            x_padded[
+                :, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride
+            ] += taps[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
+    return x_padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def conv_geometries(kernel):
+    """Every (stride, padding, channels, height, width) the exactness tests
+    cover for one square kernel; height differs from width throughout."""
+    for stride in (1, 2, 3):
+        for padding in range(kernel):
+            for channels in (1, 5):
+                yield stride, padding, channels, kernel + 4, kernel + 7
+
+
 def reference_conv2d(x, weight, bias, stride, padding):
     """Naive direct convolution used as the ground truth."""
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    x_padded = F.pad_input(x, padding)
+    x_padded = pad_input(x, padding)
     out = np.zeros((n, f, out_h, out_w), dtype=np.float64)
     for sample in range(n):
         for filt in range(f):
@@ -109,6 +169,39 @@ class TestConvBackward:
         grad_out = rng.normal(size=out.shape)
         _, _, grad_bias = F.conv2d_backward(grad_out, x, weight, cols, 1, 1)
         assert np.allclose(grad_bias, grad_out.sum(axis=(0, 2, 3)))
+
+
+class TestExactKernels:
+    """im2col/col2im reproduce the reference loops byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_im2col_matches_the_tap_loop_bytes(self, dtype, kernel):
+        rng = np.random.default_rng(kernel)
+        for stride, padding, channels, h, w in conv_geometries(kernel):
+            x = rng.normal(size=(2, channels, h, w)).astype(dtype)
+            cols = F.im2col(x, kernel, kernel, stride, padding)
+            expected = reference_im2col(x, kernel, kernel, stride, padding)
+            assert cols.dtype == expected.dtype and cols.shape == expected.shape
+            assert cols.flags.c_contiguous
+            assert cols.tobytes() == expected.tobytes(), (stride, padding, channels)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_col2im_matches_the_tap_loop_bytes(self, dtype, kernel):
+        rng = np.random.default_rng(10 + kernel)
+        for stride, padding, channels, h, w in conv_geometries(kernel):
+            x_shape = (2, channels, h, w)
+            out_h = F.conv_output_size(h, kernel, stride, padding)
+            out_w = F.conv_output_size(w, kernel, stride, padding)
+            cols = rng.normal(
+                size=(2, out_h, out_w, channels * kernel * kernel)
+            ).astype(dtype)
+            folded = F.col2im(cols, x_shape, kernel, kernel, stride, padding)
+            expected = reference_col2im(cols, x_shape, kernel, kernel, stride, padding)
+            assert folded.dtype == expected.dtype and folded.shape == x_shape
+            assert folded.flags.c_contiguous
+            assert folded.tobytes() == expected.tobytes(), (stride, padding, channels)
 
 
 class TestIm2Col:

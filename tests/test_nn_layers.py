@@ -12,6 +12,17 @@ from repro.nn import (
 )
 
 
+class ReferenceReLU(ReLU):
+    """ReLU written with ``np.where``: the bit-exactness reference."""
+
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0).astype(x.dtype, copy=False)
+
+    def backward(self, grad_out):
+        return np.where(self._mask, grad_out, 0.0).astype(grad_out.dtype, copy=False)
+
+
 class TestConv2DLayer:
     def test_forward_shape(self):
         layer = Conv2D(3, 8, kernel_size=3, stride=1, padding=1)
@@ -91,6 +102,23 @@ class TestActivations:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_the_where_reference_bytes(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 5, 7, 9)).astype(dtype)
+        grad = rng.normal(size=x.shape).astype(dtype)
+        # Signed zeros on both sides: masked positions must read +0.0,
+        # and an unmasked -0.0 gradient must pass through unchanged.
+        x.flat[:12] = [0.0, -0.0] * 6
+        grad.flat[:24] = [0.0, -0.0] * 12
+        relu, reference = ReLU(), ReferenceReLU()
+        out, expected = relu(x), reference(x)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        grad_in, expected_grad = relu.backward(grad), reference.backward(grad)
+        assert grad_in.dtype == expected_grad.dtype
+        assert grad_in.tobytes() == expected_grad.tobytes()
 
 
 class TestDropout:

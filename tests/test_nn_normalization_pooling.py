@@ -11,6 +11,44 @@ from repro.nn import (
 )
 
 
+class ReferenceBatchNorm2D(BatchNorm2D):
+    """Batch norm as one expression per step: the bit-exactness reference."""
+
+    def forward(self, x):
+        if self.training:
+            mean = x.mean(axis=(0, 2, 3))
+            var = x.var(axis=(0, 2, 3))
+            self.running_mean = (
+                (1 - self.momentum) * self.running_mean + self.momentum * mean
+            ).astype(np.float32)
+            self.running_var = (
+                (1 - self.momentum) * self.running_var + self.momentum * var
+            ).astype(np.float32)
+        else:
+            mean = self.running_mean
+            var = self.running_var
+        mean_b = mean.reshape(1, -1, 1, 1)
+        std_b = np.sqrt(var + self.eps).reshape(1, -1, 1, 1)
+        x_hat = (x - mean_b) / std_b
+        out = self.gamma.data.reshape(1, -1, 1, 1) * x_hat + self.beta.data.reshape(
+            1, -1, 1, 1
+        )
+        self._cache = (x_hat, std_b)
+        return out.astype(np.float32, copy=False)
+
+    def backward(self, grad_out):
+        x_hat, std_b = self._cache
+        self.gamma.accumulate_grad((grad_out * x_hat).sum(axis=(0, 2, 3)))
+        self.beta.accumulate_grad(grad_out.sum(axis=(0, 2, 3)))
+        grad_xhat = grad_out * self.gamma.data.reshape(1, -1, 1, 1)
+        grad_input = (
+            grad_xhat
+            - grad_xhat.mean(axis=(0, 2, 3), keepdims=True)
+            - x_hat * (grad_xhat * x_hat).mean(axis=(0, 2, 3), keepdims=True)
+        ) / std_b
+        return grad_input.astype(np.float32, copy=False)
+
+
 class TestBatchNorm2D:
     def test_training_output_is_normalised(self):
         rng = np.random.default_rng(0)
@@ -61,6 +99,31 @@ class TestBatchNorm2D:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             BatchNorm2D(2).backward(np.zeros((1, 2, 3, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_expression_reference_bytes(self, dtype):
+        rng = np.random.default_rng(5)
+        gamma, beta = rng.normal(size=(2, 5))
+        layer, reference = BatchNorm2D(5), ReferenceBatchNorm2D(5)
+        for module in (layer, reference):
+            module.gamma.data[:] = gamma
+            module.beta.data[:] = beta
+        x = rng.normal(1.0, 3.0, size=(4, 5, 6, 9)).astype(dtype)
+        grad = rng.normal(size=x.shape).astype(dtype)
+        grad[rng.random(x.shape) < 0.5] = 0.0
+        out, expected = layer(x), reference(x)
+        assert out.tobytes() == expected.tobytes()
+        assert layer._cache[0].tobytes() == reference._cache[0].tobytes()
+        grad_in, expected_grad = layer.backward(grad), reference.backward(grad)
+        assert grad_in.dtype == expected_grad.dtype
+        assert grad_in.tobytes() == expected_grad.tobytes()
+        for name in ("gamma", "beta"):
+            assert (getattr(layer, name).grad.tobytes()
+                    == getattr(reference, name).grad.tobytes()), name
+        assert layer.running_mean.tobytes() == reference.running_mean.tobytes()
+        assert layer.running_var.tobytes() == reference.running_var.tobytes()
+        layer.training = reference.training = False
+        assert layer(x).tobytes() == reference(x).tobytes()
 
 
 class TestPoolingLayers:

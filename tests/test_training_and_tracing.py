@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.engine.cache import trace_fingerprint
 from repro.models import build_alexnet, build_gcn
+from repro.models.registry import (
+    DEFAULT_LEARNING_RATE,
+    build_dataset,
+    build_model,
+)
+from repro.nn import functional as F
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2D
+from repro.nn.layers.normalization import BatchNorm2D
 from repro.nn.optim import MomentumSGD
 from repro.training import (
     SyntheticImageDataset,
@@ -14,6 +23,9 @@ from repro.training import (
     Trainer,
     TrainingConfig,
 )
+from tests.test_nn_functional import reference_col2im, reference_im2col
+from tests.test_nn_layers import ReferenceReLU
+from tests.test_nn_normalization_pooling import ReferenceBatchNorm2D
 
 
 class TestSyntheticDatasets:
@@ -221,3 +233,67 @@ class TestTrainer:
         trainer = Trainer(model, MomentumSGD(model.parameters(), lr=0.01))
         with pytest.raises(RuntimeError):
             trainer.final_loss()
+
+    def test_non_finite_loss_fails_loudly_before_the_update(self):
+        model = build_alexnet(width_multiplier=0.5)
+        trainer = Trainer(
+            model,
+            MomentumSGD(model.parameters(), lr=1e6),
+            config=TrainingConfig(epochs=2, batches_per_epoch=3, batch_size=4),
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError) as raised:
+                trainer.train(SyntheticImageDataset(size=32), model_name="alexnet")
+        message = str(raised.value)
+        assert message.startswith("alexnet: training diverged, loss is nan")
+        assert "at epoch 0, step 1" in message
+        # The failing step updated nothing and no epoch was recorded.
+        assert trainer.epoch_stats == []
+        assert all(p.grad is None for p in model.parameters())
+
+
+#: Zoo models whose layers cover every rewritten kernel: strided and
+#: padded convs with BN (resnet50), BN before ReLU and concatenation
+#: (densenet121), fire modules (squeezenet), plain conv/fc (alexnet) and
+#: an fc-only network (snli).
+EXACTNESS_MODELS = ("resnet50", "densenet121", "squeezenet", "alexnet", "snli")
+
+
+def _train_briefly(name):
+    """Per-layer trace fingerprints and parameter bytes of 1 x 2 x 4 training."""
+    model = build_model(name, seed=0)
+    trainer = Trainer(
+        model,
+        MomentumSGD(model.parameters(), lr=DEFAULT_LEARNING_RATE),
+        config=TrainingConfig(epochs=1, batches_per_epoch=2, batch_size=4),
+    )
+    trace = trainer.train(build_dataset(name, seed=0), model_name=name)
+    fingerprints = {
+        (epoch.epoch, layer.layer_name): trace_fingerprint(layer)
+        for epoch in trace.epochs
+        for layer in epoch.layers
+    }
+    parameters = {p.name: p.data.tobytes() for p in model.parameters()}
+    return fingerprints, parameters
+
+
+class TestExactKernels:
+    def test_zoo_trains_bit_identically_with_the_reference_kernels(
+        self, monkeypatch
+    ):
+        """The shipped kernels change no trace and no trained parameter.
+
+        Both runs use the same GEMMs, so the comparison holds on any BLAS.
+        """
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "im2col", reference_im2col)
+            patch.setattr(F, "col2im", reference_col2im)
+            for cls, reference in ((ReLU, ReferenceReLU),
+                                   (BatchNorm2D, ReferenceBatchNorm2D)):
+                patch.setattr(cls, "forward", reference.forward)
+                patch.setattr(cls, "backward", reference.backward)
+            expected = {name: _train_briefly(name) for name in EXACTNESS_MODELS}
+        for name in EXACTNESS_MODELS:
+            fingerprints, parameters = _train_briefly(name)
+            assert fingerprints == expected[name][0], name
+            assert parameters == expected[name][1], name
