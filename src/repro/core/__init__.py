@@ -6,7 +6,7 @@ and 3.1-3.6 of the paper:
 * :mod:`repro.core.interconnect` — the sparse per-lane multiplexer
   connectivity (lookahead / lookaside movement options).
 * :mod:`repro.core.scheduler` — the hierarchical combinational hardware
-  scheduler (the readable oracle) and its bit-packed batch kernel.  The
+  scheduler (the readable oracle) and its bit-plane batch kernel.  The
   oracle's ``walk`` steps a tile's PE rows in lockstep through their
   N-deep staging windows.
 * :mod:`repro.core.pe` — baseline (dense) and TensorDash processing elements.

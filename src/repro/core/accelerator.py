@@ -15,7 +15,7 @@ accounts (alexnet AxW: 1.845x summed, 1.761x over the slowest tile).
 A schedule depends only on the operands' zero patterns, so the model
 counts cycles on boolean masks of effectual positions, never on values.
 :meth:`Accelerator.tile_cycles_batch` schedules many lockstep groups at
-once on the bit-packed :class:`repro.core.scheduler.BatchScheduler`
+once on the bit-plane :class:`repro.core.scheduler.BatchScheduler`
 kernel, and :meth:`Accelerator.run_operations_batched` fuses whole
 operations into shared ragged batches — the kernel every engine run
 goes through.  The readable oracle it is checked against cycle for cycle

@@ -19,10 +19,11 @@ One readable oracle and one fast kernel are provided:
   it through a stream (:meth:`~HardwareScheduler.walk`).  The PE,
   pre-scheduler and the accelerator's reference oracle are all built on
   ``walk``.
-* :class:`BatchScheduler` — the bit-packed numpy kernel: one ``uint64``
-  word per staging window, stepped for many independent lockstep groups
-  at once, which keeps full-model experiments tractable.  Windows wider
-  than 64 bits run on ``walk`` instead.
+* :class:`BatchScheduler` — the bit-plane kernel: the staging windows of
+  many independent lockstep groups held bit-sliced, one Python int per
+  staging slot, so each priority encoder runs as a few whole-batch
+  integer operations.  It runs every geometry and keeps full-model
+  experiments tractable.
 """
 
 from __future__ import annotations
@@ -69,25 +70,29 @@ class Schedule:
         return self.busy_lanes / len(self.selections)
 
 
-def pack_stream_rows(streams: np.ndarray) -> np.ndarray:
-    """Pack boolean stream rows into one ``uint64`` lane-bitmask per row.
+def _pack_lanes(rows: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a boolean array into bytes, LSB first.
 
-    ``streams`` has shape ``(num_streams, rows, lanes)`` with
-    ``lanes <= 64``; the result has shape ``(num_streams, rows)`` where
-    bit ``l`` of word ``[s, r]`` is ``streams[s, r, l]``.  A window
-    starting at row ``p`` for a ``depth``-deep staging buffer is then
-    ``rows[p] | rows[p+1] << lanes | ...`` — the layout
-    :meth:`BatchScheduler.schedule_packed` consumes.
+    ``np.packbits`` is slow along a short axis.  When the lanes fill whole
+    bytes, one multiply moves 0/1 byte ``k`` of eight to bit ``56 + k``.
     """
-    num_streams, rows, lanes = streams.shape
-    if lanes > 64:
-        raise ValueError(f"cannot pack {lanes} lanes into a 64-bit word")
-    packed_bytes = np.packbits(
-        np.ascontiguousarray(streams, dtype=bool), axis=-1, bitorder="little"
-    )
-    words = np.zeros((num_streams, rows, 8), dtype=np.uint8)
-    words[:, :, : packed_bytes.shape[-1]] = packed_bytes
-    return words.view("<u8").reshape(num_streams, rows)
+    if rows.shape[-1] % 8:
+        return np.packbits(rows, axis=-1, bitorder="little")
+    eights = np.ascontiguousarray(rows, dtype=bool).view("<u8") * np.uint64(0x0102040810204080)
+    return np.right_shift(eights, np.uint64(56), out=eights).astype(np.uint8)
+
+
+def _ints(rows: np.ndarray) -> List[int]:
+    """One little-endian int per row of a ``(..., bytes)`` uint8 array."""
+    size, data = rows.shape[-1], rows.tobytes()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _bits(values: Sequence[int], count: int) -> np.ndarray:
+    """The low ``count`` bits of each int, as a ``(len(values), count)`` array."""
+    size = -(-count // 8)
+    data = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values), np.uint8)
+    return np.unpackbits(data.reshape(len(values), size), -1, count, bitorder="little")
 
 
 class HardwareScheduler:
@@ -266,100 +271,66 @@ class HardwareScheduler:
 
 
 class BatchScheduler:
-    """The bit-packed kernel: many independent lockstep groups at once.
+    """The bit-plane kernel: many independent lockstep groups at once.
 
-    The hardware scheduler is combinational and stateless, so scheduling
-    many independent staging windows is embarrassingly parallel.  Each
-    window is packed into one ``uint64`` word — bit ``step * lanes + lane``
-    is staging position ``(step, lane)`` — and :meth:`schedule_packed`
-    walks the priority encoders with a handful of bitwise numpy operations
-    per lane over the whole batch.  :meth:`tile_cycles` steps ragged
-    batches of lockstep groups through it, paying the per-cycle dispatch
-    cost once per batch instead of once per group; its cycle counts are
-    bit-identical to :meth:`HardwareScheduler.walk` (property-tested).
-
-    Packing needs ``staging_depth * lanes <= 64`` (:attr:`packable`),
-    which holds for the paper's 16-lane PE up to a 4-deep staging buffer;
-    wider windows run group by group on :meth:`HardwareScheduler.walk`.
+    The hardware scheduler is combinational and stateless, so it can step
+    a whole batch of staging windows at once, held bit-sliced: one Python
+    int per staging slot ``(step, lane)``, whose bit ``j`` is window
+    ``j``'s slot.  :meth:`schedule_planes` runs each lane's priority
+    encoder as three whole-batch integer operations per option, and
+    :meth:`tile_cycles` steps ragged batches of lockstep groups through
+    it.  No window has to fit a machine word, so every geometry runs on
+    this one kernel, bit-identical to :meth:`HardwareScheduler.walk`.
     """
 
-    #: Upper bound on the ``uint64`` words one scheduling bucket may hold
-    #: (~64 MiB).  Units are packed greedily in ascending stream-row order,
-    #: so each bucket mixes similar lengths and padding stays small.
-    BATCH_WORD_BUDGET = 8_000_000
+    #: Upper bound on the packed stream bytes of one scheduling bucket
+    #: (~16 MB); see :meth:`tile_cycles` for how units fill buckets.
+    BATCH_BYTE_BUDGET = 16_000_000
 
     def __init__(self, pattern: Optional[ConnectivityPattern] = None):
         self.pattern = pattern or ConnectivityPattern()
         groups = self.pattern.level_groups()
         if not self.pattern.validate_level_groups(groups):  # pragma: no cover
             raise AssertionError("level groups overlap; scheduler invariant broken")
-        self._oracle = HardwareScheduler(self.pattern)
-        depth, lanes = self.pattern.staging_depth, self.pattern.lanes
-        #: Whether a whole staging window fits one uint64 word.
-        self.packable = depth * lanes <= 64
-        if self.packable:
-            one = np.uint64(1)
-            self._packed_opts = [
-                [
-                    one << np.uint64(step * lanes + src)
-                    for step, src in self.pattern.options_for_lane(lane)
-                ]
-                for lane in range(lanes)
-            ]
-            self._packed_levels = groups
-            self._row_masks = [
-                np.uint64(((1 << lanes) - 1) << (lanes * row)) for row in range(depth)
-            ]
+        lanes = self.pattern.lanes
+        #: Per lane in level order, its options' planes in priority order.
+        self._plane_options = [
+            [step * lanes + src for step, src in self.pattern.options_for_lane(lane)]
+            for group in groups
+            for lane in group
+        ]
 
-    def schedule_packed(
-        self, windows: np.ndarray, advance_limit: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Schedule a batch of bit-packed windows (one ``uint64`` each).
+    def schedule_planes(
+        self, planes: List[int], windows: int, advance_limit: Optional[int] = None
+    ) -> List[int]:
+        """Schedule one cycle of ``windows`` staging windows held as bit planes.
 
-        Bit ``step * lanes + lane`` of a window word marks a pending
-        effectual pair at staging position ``(step, lane)``.  Returns
-        ``(claimed, advance, busy)`` where ``claimed`` is a word per
-        window holding the consumed bits, ``advance`` the AS count and
-        ``busy`` the busy lanes — bit-identical to
-        :meth:`HardwareScheduler.schedule_step` on each unpacked window
-        (property-tested).
-
-        Only available when :attr:`packable` (``depth * lanes <= 64``).
+        ``planes[step * lanes + lane]`` has bit ``j`` set when window ``j``
+        holds a pending effectual pair at ``(step, lane)``; the selected
+        pairs are cleared in place.  Returns one mask per row past row +0
+        that the AS signal may reach: mask ``k`` has bit ``j`` set when
+        window ``j`` still holds a pair in rows ``1 .. k + 1``, so it
+        advances by 1 plus the masks with bit ``j`` clear.  Window by
+        window this is :meth:`HardwareScheduler.schedule_step`.
         """
-        if not self.packable:
-            raise ValueError(
-                f"pattern (depth={self.pattern.staging_depth}, "
-                f"lanes={self.pattern.lanes}) does not fit a 64-bit window"
-            )
-        zero = np.uint64(0)
-        remaining = windows.copy()
-        claimed = np.zeros_like(windows)
-        busy = np.zeros(windows.shape[0], dtype=np.int64)
-        for group in self._packed_levels:
-            # Lanes within a level reach disjoint positions, so their
-            # selections are computed from the same `remaining` snapshot.
-            for lane in group:
-                masks = self._packed_opts[lane]
-                selected = remaining & masks[0]
-                for mask in masks[1:]:
-                    # Branchless priority walk: keep the first hit.
-                    candidate = remaining & mask
-                    selected += candidate * (selected == zero)
-                claimed |= selected
-                busy += selected != zero
-            remaining = windows & ~claimed
-        # AS: leading fully-drained rows, at least 1.
-        advance = np.zeros(windows.shape[0], dtype=np.int64)
-        clear = np.ones(windows.shape[0], dtype=bool)
-        for row_mask in self._row_masks:
-            clear = clear & ((remaining & row_mask) == zero)
-            advance += clear
-        advance = np.maximum(advance, 1)
-        if advance_limit is not None:
-            if advance_limit < 1:
-                raise ValueError(f"advance_limit must be >= 1, got {advance_limit}")
-            advance = np.minimum(advance, advance_limit)
-        return claimed, advance, busy
+        everyone = (1 << windows) - 1
+        for first, *rest in self._plane_options:
+            # A lane's first option sees every window unserved.
+            hit = planes[first]
+            planes[first] = 0
+            unserved = everyone ^ hit
+            for option in rest:
+                hit = planes[option] & unserved
+                planes[option] ^= hit
+                unserved ^= hit
+        depth, lanes = self.pattern.staging_depth, self.pattern.lanes
+        reach = depth if advance_limit is None else min(depth, advance_limit)
+        blocked, pending = [], 0
+        for step in range(1, reach):
+            for plane in planes[step * lanes : (step + 1) * lanes]:
+                pending |= plane
+            blocked.append(pending)
+        return blocked
 
     # -- lockstep groups -----------------------------------------------------
     def group_rows(self, units: Sequence[np.ndarray]) -> np.ndarray:
@@ -416,109 +387,138 @@ class BatchScheduler:
             cycles group by group.
 
         Units are sorted by stream-row count and merged into buckets of at
-        most :data:`BATCH_WORD_BUDGET` packed words *after padding*, with
-        padding capped at half a bucket — this bounds peak memory and keeps
-        the first-touch cost of fresh allocations proportional to the
-        useful data.
+        most :data:`BATCH_BYTE_BUDGET` packed stream bytes *after padding*,
+        with padding capped at half a bucket: this bounds peak memory and
+        keeps the first-touch cost of allocations proportional to the data.
         """
+        if advance_limit is not None and advance_limit < 1:
+            raise ValueError(f"advance_limit must be >= 1, got {advance_limit}")
         rows = self.group_rows(units)
         cycles = np.zeros(rows.shape[0], dtype=np.int64)
         starts = np.cumsum([0] + [groups.shape[0] for groups in units])
         live = [i for i, groups in enumerate(units) if groups.shape[0] and groups.shape[2]]
-        if not self.packable:
-            for i in live:
-                for index, group in enumerate(units[i], start=starts[i]):
-                    cycles[index] = sum(1 for _ in self._oracle.walk(group, advance_limit))
-            return cycles
-
         depth = self.pattern.staging_depth
+        row_bytes = -(-self.pattern.lanes // 8)
         buckets: List[List[int]] = []
-        bucket_streams = bucket_words = 0
+        bucket_streams = bucket_bytes = 0
         for i in sorted(live, key=lambda i: units[i].shape[2]):
             num_groups, tile_rows, stream_rows, _ = units[i].shape
             streams = num_groups * tile_rows
-            words = streams * (stream_rows + depth)
+            size = streams * (stream_rows + depth) * row_bytes
             # Ascending sort makes this unit's stream_rows the bucket
             # maximum, so this is the exact post-padding allocation size.
-            padded = (bucket_streams + streams) * (stream_rows + depth)
-            if (
-                not buckets
-                or padded > self.BATCH_WORD_BUDGET
-                or padded > 2 * (bucket_words + words)
-            ):
+            padded = (bucket_streams + streams) * (stream_rows + depth) * row_bytes
+            if not buckets or padded > min(self.BATCH_BYTE_BUDGET, 2 * (bucket_bytes + size)):
                 buckets.append([])
-                bucket_streams = bucket_words = 0
+                bucket_streams = bucket_bytes = 0
             buckets[-1].append(i)
             bucket_streams += streams
-            bucket_words += words
+            bucket_bytes += size
         for bucket in buckets:
             index = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in bucket])
-            cycles[index] = self._packed_cycles(
+            cycles[index] = self._plane_cycles(
                 [units[i] for i in bucket], rows[index], advance_limit
             )
         return cycles
 
-    def _packed_cycles(
-        self,
-        units: Sequence[np.ndarray],
-        rows: np.ndarray,
-        advance_limit: Optional[int],
+    def _plane_cycles(
+        self, units: Sequence[np.ndarray], rows: np.ndarray, advance_limit: Optional[int]
     ) -> np.ndarray:
         """The ragged lockstep loop over one bucket of non-empty units.
 
         ``rows`` holds each group's stream rows, as :meth:`group_rows`
-        returns them for ``units``.
+        returns them for ``units``.  Window ``g * tile_rows + t`` of the
+        planes is tile row ``t`` of group ``g``.
         """
         depth, lanes = self.pattern.staging_depth, self.pattern.lanes
         tile_rows = units[0].shape[1]
         width = int(rows.max()) + depth
-        # Word [s, r] is the lane bitmask of stream s's dense row r; the
-        # streams of a group are contiguous and rows past its end are zero.
-        packed = np.zeros((rows.shape[0] * tile_rows, width), dtype=np.uint64)
+        # Row [s * width + r] holds stream s's dense row r, lanes packed
+        # LSB first.  Rows past a stream's end are zero, as is the last row,
+        # which a window reads (as row -1) where no row enters it.
+        row_bytes = -(-lanes // 8)
+        packed = np.zeros((rows.shape[0] * tile_rows * width + 1, row_bytes), np.uint8)
+        streams = packed[:-1].reshape(-1, width, row_bytes)
         offset = 0
         for groups in units:
-            num_groups, _, stream_rows, _ = groups.shape
-            streams = num_groups * tile_rows
-            packed[offset : offset + streams, :stream_rows] = pack_stream_rows(
-                groups.reshape(streams, stream_rows, lanes)
-            )
-            offset += streams
+            unit = _pack_lanes(groups).reshape(-1, groups.shape[2], row_bytes)
+            streams[offset : offset + len(unit), : groups.shape[2]] = unit
+            offset += len(unit)
+        columns = [packed[:, byte] for byte in range(row_bytes)]
+        bit = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
-        flat = packed.reshape(-1)
-        lane_mask = np.uint64((1 << lanes) - 1)
-        shifts = [np.uint64(lanes * k) for k in range(depth)]
-        tile_offsets = np.arange(tile_rows, dtype=np.int64) * width
-        cycles = np.zeros(rows.shape[0], dtype=np.int64)
-        position = np.zeros(rows.shape[0], dtype=np.int64)
-        active_idx = np.arange(rows.shape[0])
-        while active_idx.size:
-            base = (
-                active_idx[:, None] * (tile_rows * width)
-                + tile_offsets[None, :]
-                + position[active_idx, None]
-            ).reshape(-1)
-            windows = flat[base]
-            for k in range(1, depth):
-                windows = windows | (flat[base + k] << shifts[k])
-            claimed, advance, _ = self.schedule_packed(windows, advance_limit)
-            flat[base] &= ~(claimed & lane_mask)
-            for k in range(1, depth):
-                flat[base + k] &= ~((claimed >> shifts[k]) & lane_mask)
-            group_advance = advance.reshape(-1, tile_rows).min(axis=1)
-            position[active_idx] += np.minimum(
-                group_advance, rows[active_idx] - position[active_idx]
-            )
-            cycles[active_idx] += 1
-            active_idx = active_idx[position[active_idx] < rows[active_idx]]
+        def transpose(index: np.ndarray) -> List[int]:
+            """The planes of packed rows ``index[step, group, tile_row]``."""
+            index = index.reshape(index.shape[0], -1)
+            planes = [
+                np.packbits((column[index][:, None] & bit) != 0, -1, bitorder="little")
+                for column in columns
+            ]
+            return _ints(np.concatenate(planes, axis=1)[:, :lanes])
+
+        reach = depth if advance_limit is None else min(depth, advance_limit)
+        # Per step, the rows that may stay there: an advance of a rows moves
+        # plane i + a * lanes to plane i.
+        stays = [
+            [(a * lanes, a - 1) for a in range(1, min(depth - step, reach + 1))]
+            for step in range(depth)
+        ]
+        offsets = np.arange(depth)[:, None, None] + np.arange(tile_rows) * width
+        tile_mask = (1 << tile_rows) - 1
+        # Shifts that OR tile_rows neighbouring bits into the first of them.
+        spans = [1 << k for k in range((tile_rows - 1).bit_length())]
+        folds = [min(span, tile_rows - span) for span in spans]
+        group = np.arange(rows.shape[0])  # each plane group's index in `rows`
+        start = group * (tile_rows * width)  # its first stream's row 0
+        position, cycles, counted = (np.zeros_like(rows) for _ in range(3))
+        ends, alive = rows, np.ones(rows.shape, dtype=bool)
+        planes = transpose(start[:, None] + offsets)
+        while group.size:
+            windows = group.size * tile_rows
+            heads = ((1 << windows) - 1) // tile_mask  # bit g * tile_rows
+            # Group g advances past row k + 1 when no tile row of it holds
+            # a pair in rows 1 .. k + 1: fold each mask over the tile rows.
+            free = []
+            for mask in self.schedule_planes(planes, windows, advance_limit):
+                for fold in folds:
+                    mask |= mask >> fold
+                free.append(heads ^ (mask & heads))
+            advance = 1 + _bits(free, windows)[:, ::tile_rows].sum(axis=0, dtype=np.int64)
+            counted += alive
+            position = np.minimum(position + advance, ends)
+            alive = position < ends
+            # exact[a - 1]: the windows whose group advances by a rows.
+            exact = [heads * tile_mask] + [mask * tile_mask for mask in free] + [0]
+            exact = [exact[a] ^ exact[a + 1] for a in range(reach)]
+            # Only the rows that enter are read; the rest shift by the
+            # group's advance inside the planes.
+            entering = (np.arange(depth)[:, None] + advance >= depth)[:, :, None]
+            shifted = transpose(np.where(entering, (start + position)[:, None] + offsets, -1))
+            for step, sources in enumerate(stays):
+                for lane in range(step * lanes, (step + 1) * lanes):
+                    plane = shifted[lane]
+                    for source, a in sources:
+                        plane |= planes[source + lane] & exact[a]
+                    shifted[lane] = plane
+            planes = shifted
+            if 2 * np.count_nonzero(alive) <= group.size:
+                # Finished groups leave the planes once they are half of them.
+                cycles[group[~alive]] = counted[~alive]
+                keep = np.repeat(alive, tile_rows)
+                group, start, position, ends, counted, alive = (
+                    array[alive] for array in (group, start, position, ends, counted, alive)
+                )
+                if group.size:
+                    planes = _ints(np.packbits(
+                        _bits(planes, windows)[:, keep], axis=-1, bitorder="little"
+                    ))
         return cycles
 
     def stream_cycles(
         self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
     ) -> int:
         """Cycles for a single ``(rows, lanes)`` stream (convenience)."""
-        return int(
-            self.stream_cycles_batch(effectual_rows[None], advance_limit=advance_limit)[0]
-        )
+        return int(self.stream_cycles_batch(effectual_rows[None], advance_limit)[0])
 
     def stream_cycles_batch(
         self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
@@ -528,5 +528,5 @@ class BatchScheduler:
         ``effectual_rows`` is a boolean array of shape ``(batch, rows,
         lanes)``; each stream is a one-row group of :meth:`tile_cycles`.
         """
-        streams = np.asarray(effectual_rows, dtype=bool)
-        return self.tile_cycles([streams[:, None]], advance_limit=advance_limit)
+        streams = np.asarray(effectual_rows, dtype=bool)[:, None]
+        return self.tile_cycles([streams], advance_limit=advance_limit)

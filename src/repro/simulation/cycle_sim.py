@@ -11,9 +11,8 @@ A layer's result is computed in two parts:
   :meth:`LayerSimulator.compute_layers` extracts every layer's operand
   streams, hands the work groups of *all* layers and operations to one
   :meth:`~repro.core.accelerator.Accelerator.run_operations_batched`
-  call (the bit-packed :class:`~repro.core.scheduler.BatchScheduler`
-  kernel; windows wider than 64 bits run on
-  :meth:`~repro.core.scheduler.HardwareScheduler.walk`), and scales the
+  call (the bit-plane :class:`~repro.core.scheduler.BatchScheduler`
+  kernel, which runs every staging geometry), and scales the
   per-operation cycle and MAC counts up by the stream sampling factor.
   It depends on the trace and on :attr:`LayerSimulator.compute_inputs`
   alone — the few configuration values stream extraction and the kernel

@@ -1,9 +1,9 @@
 """Tests for the multi-tile accelerator model and its batched kernel.
 
-The packed kernel must stay bit-identical to the readable oracle: packed
-scheduling vs ``HardwareScheduler.schedule_step``, ragged batches vs
-exactly-sized ones, bucket splitting, and wide windows (lanes=32), which
-run on ``HardwareScheduler.walk``.
+The bit-plane kernel must stay bit-identical to the readable oracle: the
+plane step vs ``HardwareScheduler.schedule_step``, ragged batches vs
+exactly-sized ones, bucket splitting, and windows wider than a machine
+word (lanes=32), against ``HardwareScheduler.walk``.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig, PEConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
+from repro.core.scheduler import BatchScheduler, HardwareScheduler
 from tests.test_engine_backends import random_groups
 
 
@@ -21,43 +21,31 @@ def make_groups(num_groups=6, tile_rows=4, stream_rows=25, lanes=16, sparsity=0.
     return rng.random((num_groups, tile_rows, stream_rows, lanes)) > sparsity
 
 
-def pack_windows(windows):
-    """Pack (batch, depth, lanes) boolean windows into one word each."""
-    _, depth, lanes = windows.shape
-    rows = pack_stream_rows(windows)
-    words = rows[:, 0].copy()
-    for step in range(1, depth):
-        words |= rows[:, step] << np.uint64(step * lanes)
-    return words
-
-
-def assert_packed_matches_oracle(pattern, windows, advance_limit=None):
-    """schedule_packed must equal schedule_step on every window."""
-    depth, lanes = pattern.staging_depth, pattern.lanes
-    claimed, advance, busy = BatchScheduler(pattern).schedule_packed(
-        pack_windows(windows), advance_limit=advance_limit
-    )
-    claimed = unpack_claimed(claimed, depth, lanes)
+def assert_planes_match_oracle(pattern, windows, advance_limit=None):
+    """BatchScheduler.schedule_planes must equal schedule_step on every
+    window of a ``(batch, depth, lanes)`` boolean array."""
+    count, depth, lanes = windows.shape
+    planes = [
+        sum(1 << j for j in np.flatnonzero(windows[:, step, lane]).tolist())
+        for step in range(depth)
+        for lane in range(lanes)
+    ]
+    before = list(planes)
+    blocked = BatchScheduler(pattern).schedule_planes(planes, count, advance_limit)
+    assert all(new & ~old == 0 for old, new in zip(before, planes)), "a bit was set"
     oracle = HardwareScheduler(pattern)
-    for index, window in enumerate(windows):
+    for j, window in enumerate(windows):
         schedule = oracle.schedule_step(window, advance_limit=advance_limit)
         expected = np.zeros((depth, lanes), dtype=bool)
         for selection in schedule.selections:
             if selection is not None:
                 expected[selection] = True
-        assert np.array_equal(claimed[index], expected)
-        assert advance[index] == schedule.advance
-        assert busy[index] == schedule.busy_lanes
-
-
-def unpack_claimed(claimed, depth, lanes):
-    """Expand packed claim words back to (batch, depth, lanes) booleans."""
-    out = np.zeros((claimed.shape[0], depth, lanes), dtype=bool)
-    for step in range(depth):
-        for lane in range(lanes):
-            bit = np.uint64(step * lanes + lane)
-            out[:, step, lane] = (claimed >> bit) & np.uint64(1) != 0
-    return out
+        claimed = np.array([
+            (old & ~new) >> j & 1 for old, new in zip(before, planes)
+        ], dtype=bool).reshape(depth, lanes)
+        assert np.array_equal(claimed, expected), j
+        assert 1 + sum(not mask >> j & 1 for mask in blocked) == schedule.advance, j
+        assert int(claimed.sum()) == schedule.busy_lanes, j
 
 
 class TestTileCycles:
@@ -160,25 +148,17 @@ class TestConfigPlumbing:
 
 
 class TestPackedScheduler:
-    """schedule_packed must mirror the oracle's schedule_step bit for bit."""
+    """schedule_planes, on windows bit-packed into planes, must mirror the
+    oracle's schedule_step bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_packed_matches_boolean_schedule(self, seed):
         rng = np.random.default_rng(seed)
         depth = int(rng.integers(1, 4))
         pattern = ConnectivityPattern(lanes=16, staging_depth=depth)
-        assert BatchScheduler(pattern).packable
         windows = rng.random((64, depth, 16)) >= float(rng.random())
         limit = int(rng.integers(1, depth + 1)) if rng.random() < 0.5 else None
-        assert_packed_matches_oracle(pattern, windows, advance_limit=limit)
-
-    def test_non_packable_config_rejects_packed_path(self):
-        scheduler = BatchScheduler(
-            ConnectivityPattern(lanes=32, staging_depth=3)
-        )
-        assert not scheduler.packable
-        with pytest.raises(ValueError):
-            scheduler.schedule_packed(np.zeros(4, dtype=np.uint64))
+        assert_planes_match_oracle(pattern, windows, advance_limit=limit)
 
 
 class TestRaggedBatchedKernels:
@@ -204,9 +184,8 @@ class TestRaggedBatchedKernels:
 
     @pytest.mark.parametrize("lanes,depth", [(16, 3), (32, 3)])
     def test_run_operations_batched_matches_per_unit(self, lanes, depth):
-        # lanes=32 exceeds the 64-bit window and runs on the oracle's
-        # walk; lanes=16 exercises the packed merge.  Both must also match
-        # the oracle itself.
+        # A lanes=32 window is 96 bits wide, a lanes=16 one 48: both run
+        # on the plane kernel and must also match the oracle itself.
         rng = np.random.default_rng(lanes)
         config = AcceleratorConfig().with_pe(lanes=lanes, staging_depth=depth)
         acc = Accelerator(config)
@@ -243,12 +222,12 @@ class TestRaggedBatchedKernels:
             for r in rng.integers(1, 40, size=8)
         ]
         expected = [acc.run_operation_batched(n, g) for n, g in units]
-        old_budget = BatchScheduler.BATCH_WORD_BUDGET
+        old_budget = BatchScheduler.BATCH_BYTE_BUDGET
         try:
-            BatchScheduler.BATCH_WORD_BUDGET = 256  # force many tiny buckets
+            BatchScheduler.BATCH_BYTE_BUDGET = 512  # force many tiny buckets
             fused = acc.run_operations_batched(units)
         finally:
-            BatchScheduler.BATCH_WORD_BUDGET = old_budget
+            BatchScheduler.BATCH_BYTE_BUDGET = old_budget
         assert fused == expected
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
-from tests.test_core_accelerator import assert_packed_matches_oracle
+from tests.test_core_accelerator import assert_planes_match_oracle
 
 
 def window(depth=3, lanes=16, fill=False):
@@ -145,7 +145,7 @@ class TestBatchScheduler:
     def test_matches_hardware_scheduler_on_random_windows(self):
         rng = np.random.default_rng(42)
         windows = rng.random((64, 3, 16)) > 0.55
-        assert_packed_matches_oracle(ConnectivityPattern(), windows)
+        assert_planes_match_oracle(ConnectivityPattern(), windows)
 
     def test_stream_cycles_matches_sequential_processing(self):
         rng = np.random.default_rng(9)

@@ -9,23 +9,40 @@ These cover the correctness properties the paper's hardware relies on:
   selection points at a pending effectual pair),
 * the cycle count is bounded below by ``rows / staging_depth`` and above
   by ``rows`` (never slower than the dense baseline),
-* the bit-packed batch kernel is bit-identical to the reference model,
-  step by step (``schedule_packed`` vs ``schedule_step``) and cycle for
-  cycle over ragged lockstep batches (``tile_cycles`` vs ``walk``).
+* the bit-plane batch kernel is bit-identical to the reference model,
+  step by step (``schedule_planes`` vs ``schedule_step``) and cycle for
+  cycle over ragged lockstep batches (``tile_cycles`` vs ``walk``), at
+  every geometry, windows wider than a machine word included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from benchmarks.bench_ablation_interconnect import VARIANTS
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
-from tests.test_core_accelerator import assert_packed_matches_oracle
+from tests.test_core_accelerator import assert_planes_match_oracle
 
 #: A non-paper interconnect: deeper lookahead, asymmetric lookaside.
 CUSTOM_TEMPLATE = ((0, 0), (1, 0), (1, 1), (2, -1), (3, 0), (2, 2), (3, -3))
+
+#: (lanes, staging depth, template): tiny, paper and wider-than-a-word
+#: windows, and the interconnect ablation's 12-option template.
+GEOMETRIES = [
+    (1, 1, None), (3, 4, None), (16, 2, None), (16, 3, None), (16, 5, None),
+    (32, 3, None), (80, 2, None), (16, 3, VARIANTS["3-deep wide (12 options)"][1]),
+]
+#: Windows of more than 64 staging slots.
+WIDE_GEOMETRIES = [(16, 5), (16, 6), (32, 3), (80, 2)]
+
+
+def geometry_id(geometry):
+    lanes, depth, template = geometry
+    return f"{lanes}x{depth}" + ("-wide-template" if template else "")
 
 
 def effectual_windows(depth=3, lanes=16):
@@ -70,6 +87,16 @@ def value_stream_pairs(draw, max_rows=12, lanes=16):
     return a, b
 
 
+def walked_cycles(pattern, units, limit):
+    """Per group, the cycles HardwareScheduler.walk takes."""
+    oracle = HardwareScheduler(pattern)
+    return [
+        sum(1 for _ in oracle.walk(group, advance_limit=limit))
+        for groups in units
+        for group in groups
+    ]
+
+
 class TestSchedulerStepProperties:
     @settings(max_examples=200, deadline=None)
     @given(effectual_windows())
@@ -98,7 +125,7 @@ class TestSchedulerStepProperties:
     @settings(max_examples=200, deadline=None)
     @given(effectual_windows())
     def test_batch_scheduler_is_bit_identical(self, window):
-        assert_packed_matches_oracle(ConnectivityPattern(), window[None])
+        assert_planes_match_oracle(ConnectivityPattern(), window[None])
 
 
 class TestStreamProperties:
@@ -130,17 +157,12 @@ class TestLockstepKernelProperties:
     @settings(max_examples=150, deadline=None)
     @given(ragged_batches())
     def test_ragged_packed_loop_matches_walk(self, batch):
-        """The packed lockstep loop counts the cycles the oracle walks."""
+        """The plane lockstep loop counts the cycles the oracle walks."""
         pattern, units, limit = batch
         kernel = BatchScheduler(pattern)
-        assert kernel.packable
-        oracle = HardwareScheduler(pattern)
-        expected = [
-            sum(1 for _ in oracle.walk(group, advance_limit=limit))
-            for groups in units
-            for group in groups
-        ]
-        assert kernel.tile_cycles(units, advance_limit=limit).tolist() == expected
+        assert kernel.tile_cycles(units, advance_limit=limit).tolist() == walked_cycles(
+            pattern, units, limit
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(ragged_batches())
@@ -159,6 +181,68 @@ class TestLockstepKernelProperties:
                 ]
                 assert len(claims) == len(set(claims))
                 assert sorted(claims) == [tuple(slot) for slot in np.argwhere(group)]
+
+
+class TestPlaneKernel:
+    """The plane kernel runs every geometry the config accepts."""
+
+    @pytest.mark.parametrize("limited", [False, True], ids=["unlimited", "limited"])
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=geometry_id)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_plane_step_matches_schedule_step(self, geometry, limited, data):
+        """Window by window, one plane step is the oracle's schedule_step."""
+        lanes, depth, template = geometry
+        pattern = ConnectivityPattern(lanes=lanes, staging_depth=depth, template=template)
+        count = data.draw(st.integers(min_value=1, max_value=12))
+        windows = data.draw(arrays(np.bool_, (count, depth, lanes), elements=st.booleans()))
+        limit = data.draw(st.integers(min_value=1, max_value=depth)) if limited else None
+        assert_planes_match_oracle(pattern, windows, advance_limit=limit)
+
+    @pytest.mark.parametrize("lanes,depth", WIDE_GEOMETRIES,
+                             ids=[f"{lanes}x{depth}" for lanes, depth in WIDE_GEOMETRIES])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_wide_windows_match_walk(self, lanes, depth, data):
+        """Ragged batches of windows wider than 64 bits count walk's cycles."""
+        pattern = ConnectivityPattern(lanes=lanes, staging_depth=depth)
+        tile_rows = data.draw(st.integers(min_value=1, max_value=3))
+        density = data.draw(st.floats(min_value=0.0, max_value=1.0))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**16)))
+        units = [
+            rng.random((groups, tile_rows, rows, lanes)) < density
+            for groups, rows in data.draw(st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=4
+            ))
+        ]
+        limit = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=depth)))
+        kernel = BatchScheduler(pattern)
+        assert kernel.tile_cycles(units, advance_limit=limit).tolist() == walked_cycles(
+            pattern, units, limit
+        )
+
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_finished_groups_leave_the_planes(self, limit):
+        """Groups of one bucket that finish far apart are dropped as they
+        go, and every group still counts walk's cycles."""
+        rng = np.random.default_rng(5)
+        # Densities from empty to full: cycle counts spread from
+        # rows / depth to rows.
+        density = np.linspace(0.0, 1.0, 32)[:, None, None, None]
+        units = [rng.random((32, 2, 45, 16)) < density, rng.random((8, 2, 30, 16)) < 0.5]
+        pattern = ConnectivityPattern()
+        kernel = BatchScheduler(pattern)
+        widths = []
+        step = kernel.schedule_planes
+
+        def recording_step(planes, windows, advance_limit=None):
+            widths.append(windows)
+            return step(planes, windows, advance_limit)
+
+        kernel.schedule_planes = recording_step
+        cycles = kernel.tile_cycles(units, advance_limit=limit)
+        assert cycles.tolist() == walked_cycles(pattern, units, limit)
+        assert len(set(widths)) >= 3, sorted(set(widths))
 
 
 class TestPEProperties:
