@@ -10,12 +10,13 @@ through :class:`repro.explore.StudyRunner` three ways:
 * **warm cache** — manifest deleted (a simulated kill that lost all
   checkpoints), every layer re-served from the content-addressed cache.
 
-The run fails if the resumed or warm-cache passes simulate any layer, if
-the cold pass does not train each workload exactly once, if the
-warm-cache pass trains at all instead of loading every workload's trace
-from the study cache, or if any pass disagrees with the cold frontier.
-Results are printed as a table and emitted to ``BENCH_dse.json`` at the
-repository root.
+Each pass runs :data:`REPEATS` times, each time on a fresh study
+directory, and the table and ``BENCH_dse.json`` (at the repository root)
+record the median seconds: one run's timing varies by 2x on one host.
+The run fails if a resumed or warm-cache pass simulates any layer, if a
+cold pass does not train each workload exactly once, if a warm-cache
+pass trains at all instead of loading every workload's trace from the
+study cache, or if any pass disagrees with the cold frontier.
 
 Run directly::
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -37,6 +39,8 @@ from repro.explore import StudyRunner, StudySpec
 
 SPEC_PATH = Path(__file__).resolve().parent.parent / "examples" / "specs" / "dse_small.json"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
+#: Fresh study directories per pass; the recorded seconds are medians.
+REPEATS = 5
 
 
 def _run(spec: StudySpec, study_dir: Path, resume: bool):
@@ -46,20 +50,11 @@ def _run(spec: StudySpec, study_dir: Path, resume: bool):
     return result, time.perf_counter() - start
 
 
-def main() -> int:
-    print_header(
-        "Design-space exploration: study wall-clock and frontier",
-        "Explore microbenchmark (no paper figure): cold vs resumed vs "
-        "warm-cache study execution over the example 24-point spec",
-    )
-    spec = StudySpec.from_json(SPEC_PATH)
-    points = spec.expand()
-    cpu_count = os.cpu_count() or 1
-    print(f"Spec: {spec.name}, {len(points)} points "
-          f"({len(spec.workloads)} workload(s) x {len(spec.scenarios)} "
-          f"scenario(s) x knobs {dict((k, len(v)) for k, v in spec.knobs.items())}), "
-          f"cpus={cpu_count}")
+def _passes(spec: StudySpec):
+    """Cold, resumed and warm-cache passes on a fresh study dir, checked.
 
+    Returns the cold and warm-cache results and each pass's seconds.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         study_dir = Path(tmp) / "study"
 
@@ -80,20 +75,52 @@ def main() -> int:
         if (warm.stats.traces_trained, warm.stats.traces_loaded) != (0, workloads):
             raise AssertionError("warm-cache restart retrained a stored trace")
 
-    frontier = cold.frontier()
+    frontier = [p.point_id for p in cold.frontier()]
     for other, name in ((resumed, "resumed"), (warm, "warm-cache")):
-        if [p.point_id for p in other.frontier()] != [p.point_id for p in frontier]:
+        if [p.point_id for p in other.frontier()] != frontier:
             raise AssertionError(f"{name} frontier diverged from the cold run")
+    seconds = {
+        "cold_seconds": cold_seconds,
+        "resume_seconds": resume_seconds,
+        "warm_cache_seconds": warm_seconds,
+    }
+    return cold, warm, seconds
 
+
+def main() -> int:
+    print_header(
+        "Design-space exploration: study wall-clock and frontier",
+        "Explore microbenchmark (no paper figure): cold vs resumed vs "
+        "warm-cache study execution over the example 24-point spec",
+    )
+    spec = StudySpec.from_json(SPEC_PATH)
+    points = spec.expand()
+    cpu_count = os.cpu_count() or 1
+    print(f"Spec: {spec.name}, {len(points)} points "
+          f"({len(spec.workloads)} workload(s) x {len(spec.scenarios)} "
+          f"scenario(s) x knobs {dict((k, len(v)) for k, v in spec.knobs.items())}), "
+          f"cpus={cpu_count}")
+
+    runs = [_passes(spec) for _ in range(REPEATS)]
+    cold, warm, _ = runs[-1]
+    frontier = cold.frontier()
+    seconds = {
+        key: statistics.median(times[key] for _, _, times in runs)
+        for key in ("cold_seconds", "resume_seconds", "warm_cache_seconds")
+    }
+    cold_seconds = seconds["cold_seconds"]
     rows = [
-        ["cold (empty study dir)", cold_seconds, 1.0],
-        ["resume (manifest intact)", resume_seconds,
-         cold_seconds / resume_seconds if resume_seconds else float("inf")],
-        ["warm cache (manifest lost)", warm_seconds,
-         cold_seconds / warm_seconds if warm_seconds else float("inf")],
+        [label, seconds[key],
+         cold_seconds / seconds[key] if seconds[key] else float("inf")]
+        for label, key in (
+            ("cold (empty study dir)", "cold_seconds"),
+            ("resume (manifest intact)", "resume_seconds"),
+            ("warm cache (manifest lost)", "warm_cache_seconds"),
+        )
     ]
     print(format_table(
-        f"{spec.name}: study wall-clock ({len(points)} points)",
+        f"{spec.name}: median study wall-clock of {REPEATS} runs "
+        f"({len(points)} points)",
         ["pass", "seconds", "speedup vs cold"],
         rows,
     ))
@@ -109,11 +136,8 @@ def main() -> int:
         "points": len(points),
         "frontier_size": len(frontier),
         "frontier": [point.point_id for point in frontier],
-        "wall_clock": {
-            "cold_seconds": round(cold_seconds, 4),
-            "resume_seconds": round(resume_seconds, 4),
-            "warm_cache_seconds": round(warm_seconds, 4),
-        },
+        "wall_clock": {key: round(value, 4) for key, value in seconds.items()},
+        "wall_clock_repeats": REPEATS,
         "cpu_count": cpu_count,
         "cold_engine": cold.stats.as_dict(),
         "warm_engine": warm.stats.as_dict(),

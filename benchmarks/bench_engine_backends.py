@@ -2,9 +2,9 @@
 
 Trains the scaled ResNet-50 workload briefly, then simulates its final
 epoch trace twice with identical sampling parameters: once through the
-engine (the batched kernel, recorded as ``vectorized``) and once with
+engine (the bit-plane kernel, recorded as ``kernel``) and once with
 every operation scheduled by ``Accelerator.run_operation_reference``
-(the oracle, recorded as ``reference``).  It checks that the two are
+(recorded as ``oracle``).  It checks that the two are
 bit-identical and measures the cold/warm behaviour of the on-disk result
 cache.
 
@@ -45,8 +45,11 @@ WORKLOAD = "resnet50"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: The kernel must beat the oracle by at least this factor on the full
 #: trace; the run fails otherwise so a performance
-#: regression turns CI red instead of hiding in the artifact.
-MIN_VECTORIZED_SPEEDUP = 10.0
+#: regression turns CI red instead of hiding in the artifact.  The
+#: bit-plane kernel measured 78-104x on a 2-vCPU host and the
+#: word-per-window kernel it replaced 24-29x, so 40x fails a return to
+#: that kernel.
+MIN_KERNEL_SPEEDUP = 40.0
 
 #: Reduced configuration for the CI perf-gate step (--check): a smaller
 #: workload and batch so the gate costs seconds, compared ratio-against-
@@ -54,9 +57,9 @@ MIN_VECTORIZED_SPEEDUP = 10.0
 CHECK_WORKLOAD = "squeezenet"
 CHECK_MAX_GROUPS = 64
 #: Floor for the reduced gate (recorded into BENCH_engine.json; also the
-#: fallback when the artifact predates it).  Measured ~11x on a 1-CPU
-#: container, so 5x leaves a 2x margin for slower/noisier runners.
-CHECK_FLOOR_FALLBACK = 5.0
+#: fallback when the artifact predates it).  Measured 30-32x on a 2-vCPU
+#: host, so 15x leaves a 2x margin for slower/noisier runners.
+CHECK_FLOOR_FALLBACK = 15.0
 
 
 def _identical(lhs, rhs) -> bool:
@@ -68,7 +71,7 @@ def _identical(lhs, rhs) -> bool:
     return True
 
 
-def _reference_pass(layers, max_groups):
+def _oracle_pass(layers, max_groups):
     """Simulate ``layers`` with every operation scheduled by the oracle.
 
     Same stream extraction and finalisation as the engine; only the
@@ -85,8 +88,8 @@ def _reference_pass(layers, max_groups):
 def _timed_passes(layers, max_groups, repeats=1):
     """Best-of-``repeats`` seconds and results, oracle and kernel."""
     passes = {
-        "reference": lambda: _reference_pass(layers, max_groups),
-        "vectorized": lambda: SimulationEngine(
+        "oracle": lambda: _oracle_pass(layers, max_groups),
+        "kernel": lambda: SimulationEngine(
             max_groups=max_groups
         ).simulate_layers(layers),
     }
@@ -98,8 +101,8 @@ def _timed_passes(layers, max_groups, repeats=1):
             results[name] = run()
             best = min(best, time.perf_counter() - start)
         timings[name] = best
-    if not _identical(results["vectorized"], results["reference"]):
-        raise AssertionError("the kernel diverged from the reference oracle")
+    if not _identical(results["kernel"], results["oracle"]):
+        raise AssertionError("the kernel diverged from the oracle")
     return timings, results
 
 
@@ -113,7 +116,7 @@ def run_check() -> int:
     floor = CHECK_FLOOR_FALLBACK
     try:
         recorded = json.loads(OUTPUT.read_text())
-        floor = float(recorded["perf_gate"]["reduced_min_vectorized_speedup"])
+        floor = float(recorded["perf_gate"]["reduced_min_kernel_speedup"])
     except (OSError, KeyError, ValueError):
         print(f"no recorded floor found; using fallback {floor}x")
     trace = get_trace(CHECK_WORKLOAD, epochs=1)
@@ -122,14 +125,14 @@ def run_check() -> int:
     # Best of three: the kernel pass is fast enough that a single sample
     # is dominated by allocator/page-cache noise.
     timings, _ = _timed_passes(layers, CHECK_MAX_GROUPS, repeats=3)
-    ratio = timings["reference"] / timings["vectorized"]
+    ratio = timings["oracle"] / timings["kernel"]
     print(f"{CHECK_WORKLOAD} (max_groups={CHECK_MAX_GROUPS}): "
-          f"reference {timings['reference']:.3f}s, "
-          f"vectorized {timings['vectorized']:.3f}s -> {ratio:.2f}x "
+          f"oracle {timings['oracle']:.3f}s, "
+          f"kernel {timings['kernel']:.3f}s -> {ratio:.2f}x "
           f"(floor: {floor}x)")
     if ratio < floor:
         raise AssertionError(
-            f"the kernel is only {ratio:.2f}x the reference oracle "
+            f"the kernel is only {ratio:.2f}x the oracle "
             f"on the reduced trace (required: >= {floor}x)"
         )
     print("perf gate passed")
@@ -138,7 +141,7 @@ def run_check() -> int:
 
 def main() -> int:
     print_header(
-        "Scheduling kernel vs reference oracle",
+        "Scheduling kernel vs oracle",
         "Engine microbenchmark (no paper figure): oracle vs kernel, "
         "plus result-cache effectiveness",
     )
@@ -174,19 +177,19 @@ def main() -> int:
         warm_seconds = time.perf_counter() - start
         if warm_engine.stats.layers_simulated != 0:
             raise AssertionError("warm cache run re-simulated layers")
-        if not _identical(warm_results, results["vectorized"]):
+        if not _identical(warm_results, results["kernel"]):
             raise AssertionError("cached results diverged from fresh results")
 
-    reference_seconds = timings["reference"]
+    oracle_seconds = timings["oracle"]
     rows = [
-        [name, seconds, reference_seconds / seconds if seconds else float("inf")]
+        [name, seconds, oracle_seconds / seconds if seconds else float("inf")]
         for name, seconds in timings.items()
     ]
-    rows.append(["vectorized+warm-cache", warm_seconds,
-                 reference_seconds / warm_seconds if warm_seconds else float("inf")])
+    rows.append(["kernel+warm-cache", warm_seconds,
+                 oracle_seconds / warm_seconds if warm_seconds else float("inf")])
     print(format_table(
         f"{WORKLOAD}: oracle vs kernel wall-clock",
-        ["path", "seconds", "speedup vs reference"],
+        ["path", "seconds", "speedup vs oracle"],
         rows,
     ))
 
@@ -199,7 +202,7 @@ def main() -> int:
         "backends": {
             name: {
                 "seconds": round(seconds, 4),
-                "speedup_vs_reference": round(reference_seconds / seconds, 3)
+                "speedup_vs_oracle": round(oracle_seconds / seconds, 3)
                 if seconds else None,
             }
             for name, seconds in timings.items()
@@ -213,22 +216,22 @@ def main() -> int:
             "warm_layers_resimulated": warm_engine.stats.layers_simulated,
         },
         "perf_gate": {
-            "min_vectorized_speedup": MIN_VECTORIZED_SPEEDUP,
+            "min_kernel_speedup": MIN_KERNEL_SPEEDUP,
             "reduced_workload": CHECK_WORKLOAD,
             "reduced_max_groups": CHECK_MAX_GROUPS,
-            "reduced_min_vectorized_speedup": CHECK_FLOOR_FALLBACK,
+            "reduced_min_kernel_speedup": CHECK_FLOOR_FALLBACK,
         },
         "bit_identical": True,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nWrote {OUTPUT}")
 
-    vectorized_speedup = payload["backends"]["vectorized"]["speedup_vs_reference"]
-    print(f"Kernel speedup over the oracle: {vectorized_speedup:.2f}x")
-    if vectorized_speedup < MIN_VECTORIZED_SPEEDUP:
+    kernel_speedup = payload["backends"]["kernel"]["speedup_vs_oracle"]
+    print(f"Kernel speedup over the oracle: {kernel_speedup:.2f}x")
+    if kernel_speedup < MIN_KERNEL_SPEEDUP:
         raise AssertionError(
-            f"the kernel is only {vectorized_speedup:.2f}x the reference "
-            f"oracle (required: >= {MIN_VECTORIZED_SPEEDUP}x)"
+            f"the kernel is only {kernel_speedup:.2f}x the oracle "
+            f"(required: >= {MIN_KERNEL_SPEEDUP}x)"
         )
     return 0
 

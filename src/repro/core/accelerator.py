@@ -8,8 +8,8 @@ cycles, and the dense baseline's are the sum of its groups' stream rows.
 Both designs are thus charged as if the groups spread evenly over the
 tiles; inter-tile imbalance is not modelled here.
 :mod:`repro.core.dataflow` assigns groups to tiles round-robin and takes
-the slowest tile's latency instead, and
-``benchmarks/bench_ablation_multitile.py`` measures the gap between the two
+the slowest tile's latency instead, and the paper ledger's ``multitile``
+row (``benchmarks/bench_paper.py``) measures the gap between the two
 accounts (alexnet AxW: 1.845x summed, 1.761x over the slowest tile).
 
 A schedule depends only on the operands' zero patterns, so the model

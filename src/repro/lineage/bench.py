@@ -10,7 +10,8 @@ The watch distinguishes two classes of field:
 
 * **gated** metrics (``WatchedMetric.gate``) participate in
   ``repro diff --fail-on regressed``.  They are either booleans that
-  must stay true (``bit_identical``, ``payloads_identical``),
+  must stay true (``bit_identical``, ``payloads_identical``, each
+  paper-ledger entry's ``invariants_hold``),
   deterministic counts compared exactly (``frontier_size``,
   ``warm_layers_resimulated``), or bound-backed measurements compared
   against the *committed* gate value (``enabled_overhead_fraction`` vs
@@ -59,6 +60,56 @@ class WatchedMetric:
     tolerance: Optional[float] = None
 
 
+#: The paper ledger's entries (``benchmarks/bench_paper.py``), one per
+#: figure, table or ablation; each entry's ``invariants_hold`` is gated.
+PAPER_ENTRIES = (
+    "fig01", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
+    "fig20", "table3", "bfloat16", "gcn", "interconnect", "multitile",
+    "prescheduling", "scheduler_quality", "two_side",
+)
+
+#: The ledger's measured values beside the paper's, watched but not
+#: gated: a trained trace depends on the BLAS thread count, so another
+#: host may train a model differently.  Overheads are better lower.
+PAPER_VALUES = (
+    "fig01.geomean.Total",
+    "fig13.geomean.Total",
+    "fig13.series.densenet121.WxG",
+    "fig14.series.resnet50_DS90.epoch0",
+    "fig14.series.resnet50_DS90.epoch5",
+    "fig15.geomean.core",
+    "fig15.geomean.overall",
+    "fig16.models.alexnet.baseline.core",
+    "fig17.geomean.1",
+    "fig17.geomean.16",
+    "fig18.geomean.4",
+    "fig18.geomean.16",
+    "fig19.geomean.2-deep",
+    "fig19.geomean.3-deep",
+    "fig20.series.10%.Total",
+    "fig20.series.90%.Total",
+    "table3.area_overhead",
+    "table3.chip_area_overhead",
+    "table3.power_overhead",
+    "bfloat16.area_overhead",
+    "bfloat16.chip_area_overhead",
+    "bfloat16.power_overhead",
+    "bfloat16.core_efficiency",
+    "bfloat16.overall_efficiency",
+    "gcn.speedup",
+    "gcn.overall_efficiency",
+    "gcn.gated_overall_efficiency",
+    "interconnect.variants.3-deep paper (8 options).speedup",
+    "interconnect.variants.3-deep wide (12 options).speedup",
+    "multitile.models.alexnet.aggregate_speedup",
+    "multitile.models.alexnet.latency_speedup",
+    "prescheduling.models.alexnet.row_compression",
+    "scheduler_quality.sparsity.90%.tensordash",
+    "scheduler_quality.sparsity.90%.oracle",
+    "two_side.pairs.A70% B30%.one_side",
+    "two_side.pairs.A70% B30%.two_side",
+)
+
 #: Gated + informational fields per benchmark (keyed by the documents'
 #: ``"benchmark"`` value).  Bound-backed entries gate on the committed
 #: bound; exact entries (tolerance 0) gate deterministic outputs.
@@ -74,15 +125,15 @@ WATCHED_METRICS: Dict[str, Tuple[WatchedMetric, ...]] = {
     "engine_backends": (
         WatchedMetric("bit_identical", gate=True),
         WatchedMetric(
-            "backends.vectorized.speedup_vs_reference",
+            "backends.kernel.speedup_vs_oracle",
             True,
-            bound="perf_gate.min_vectorized_speedup",
+            bound="perf_gate.min_kernel_speedup",
             gate=True,
         ),
         WatchedMetric(
             "cache.warm_layers_resimulated", False, tolerance=0.0, gate=True
         ),
-        WatchedMetric("backends.vectorized.seconds", False),
+        WatchedMetric("backends.kernel.seconds", False),
     ),
     "jobs_service_overhead": (
         WatchedMetric("payloads_identical", gate=True),
@@ -98,6 +149,13 @@ WATCHED_METRICS: Dict[str, Tuple[WatchedMetric, ...]] = {
         WatchedMetric(
             "hierarchies.table2.stall_fraction", False, tolerance=0.0
         ),
+    ),
+    "paper": tuple(
+        WatchedMetric(f"{entry}.invariants_hold", gate=True)
+        for entry in PAPER_ENTRIES
+    ) + tuple(
+        WatchedMetric(path, not path.endswith("_overhead"), tolerance=0.01)
+        for path in PAPER_VALUES
     ),
     "profile_engine": (
         WatchedMetric("whole_trace_seconds", False),
@@ -143,9 +201,9 @@ BENCH_SCHEMAS: Dict[str, Tuple[str, ...]] = {
         "frontier",
     ),
     "engine_backends": (
-        "backends.reference.seconds",
-        "backends.vectorized.speedup_vs_reference",
-        "perf_gate.min_vectorized_speedup",
+        "backends.oracle.seconds",
+        "backends.kernel.speedup_vs_oracle",
+        "perf_gate.min_kernel_speedup",
         "cache.warm_cache_hits",
         "bit_identical",
     ),
@@ -162,6 +220,12 @@ BENCH_SCHEMAS: Dict[str, Tuple[str, ...]] = {
         "max_overhead_fraction",
         "hierarchies.unbounded.seconds",
         "hierarchies.table2.stall_fraction",
+    ),
+    "paper": (
+        "training.epochs",
+        "training.batches_per_epoch",
+        "training.batch_size",
+        "training.seed",
     ),
     "profile_engine": (
         "whole_trace_seconds",

@@ -19,13 +19,11 @@ exploit on top of the naturally occurring activation/gradient sparsity.
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "MagnitudePruner",
     "DynamicSparseReparameterization",
     "SparseMomentumPruner",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.pruning.magnitude": ("MagnitudePruner",),
     "repro.pruning.dynamic_sparse": ("DynamicSparseReparameterization",),
     "repro.pruning.sparse_momentum": ("SparseMomentumPruner",),
 })

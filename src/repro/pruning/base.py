@@ -63,10 +63,6 @@ class MaskedPruner:
             pruned += int(np.count_nonzero(~mask))
         return pruned / total if total else 0.0
 
-    def parameters(self) -> List[Parameter]:
-        """The parameters this pruner manages."""
-        return list(self._parameters)
-
     # -- subclass interface ------------------------------------------------------
     def update_masks(self, epoch: int, step: int) -> None:
         """Recompute masks; implemented by subclasses."""

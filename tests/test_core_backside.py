@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.backside import PreScheduler
 from repro.core.interconnect import ConnectivityPattern
+from repro.core.scheduler import BatchScheduler
 
 
 def make_stream(rows=40, lanes=16, sparsity=0.6, seed=0):
@@ -64,6 +65,16 @@ class TestPreScheduler:
         )
         original = sorted(stream[stream != 0].tolist())
         assert np.allclose(stored, original)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_scheduled_rows_equal_the_kernel_cycles(self, depth):
+        """The compressor is the scheduler: one stored row per cycle."""
+        pattern = ConnectivityPattern(staging_depth=depth)
+        for seed, sparsity in enumerate((0.0, 0.3, 0.7, 0.95)):
+            stream = make_stream(rows=64, sparsity=sparsity, seed=seed)
+            scheduled = PreScheduler(pattern).compress(stream)
+            cycles = BatchScheduler(pattern).stream_cycles(stream != 0)
+            assert scheduled.scheduled_row_count == cycles
 
     def test_rejects_wrong_lane_count(self):
         scheduler = PreScheduler()

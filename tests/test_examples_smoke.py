@@ -32,11 +32,6 @@ class TestExamples:
         assert "TensorDash: 2 cycles" in output
         assert "lookaside" in output
 
-    def test_inference_prescheduling_reports_compression(self, capsys):
-        output = run_example("inference_prescheduling.py", capsys)
-        assert "pre-scheduled weights" in output
-        assert "group compression" in output
-
     def test_all_examples_are_documented_in_readme(self):
         readme = (EXAMPLES_DIR.parent / "README.md").read_text()
         for script in EXAMPLES_DIR.glob("*.py"):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from benchmarks.bench_ablation_interconnect import VARIANTS
+from benchmarks.bench_paper import VARIANTS
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.scheduler import BatchScheduler, HardwareScheduler

@@ -9,7 +9,6 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import MomentumSGD
 from repro.pruning import (
     DynamicSparseReparameterization,
-    MagnitudePruner,
     SparseMomentumPruner,
 )
 from repro.pruning.base import prunable_parameters
@@ -53,26 +52,11 @@ class TestPrunableParameters:
         assert any(p.data.ndim == 4 for p in parameters)
 
 
-class TestMagnitudePruner:
-    def test_reaches_target_sparsity(self):
-        pruner = MagnitudePruner(target_sparsity=0.8, ramp_steps=5)
-        model = train_steps(small_model(), pruner, steps=10)
-        assert pruner.weight_sparsity() == pytest.approx(0.8, abs=0.05)
-        # The actual weights are zeroed, not just masked.
-        zeros = sum(int(np.count_nonzero(p.data == 0)) for p in pruner.parameters())
-        total = sum(p.size for p in pruner.parameters())
-        assert zeros / total >= 0.7
-
-    def test_ramp_is_gradual(self):
-        pruner = MagnitudePruner(target_sparsity=0.9, ramp_steps=100)
-        assert pruner.current_target(0) < pruner.current_target(50) < 0.9 + 1e-9
-
+class TestDynamicSparseReparameterization:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            MagnitudePruner(target_sparsity=1.0)
+            DynamicSparseReparameterization(target_sparsity=1.0)
 
-
-class TestDynamicSparseReparameterization:
     def test_holds_target_sparsity_throughout(self):
         pruner = DynamicSparseReparameterization(target_sparsity=0.9, update_every=2)
         model = train_steps(small_model(), pruner, steps=12)
